@@ -54,7 +54,7 @@ def _build_index(count):
     index = SubscriptionIndex()
     for position, query in enumerate(low_overlap_workload(count, seed=11)):
         index.add(query, key=position)
-    # One-time compilation (trie, automaton NFA) out of the timed region;
+    # One-time compilation (the automaton NFA) out of the timed region;
     # the DFA transition table deliberately starts cold.
     index.matcher(backend="expectations")
     index.matcher(backend="dfa")

@@ -66,7 +66,7 @@ def _build_index(count):
     index = SubscriptionIndex()
     for position, query in enumerate(low_overlap_workload(count, seed=11)):
         index.add(query, key=position)
-    index.matcher()  # force the one-time trie build out of the timed region
+    index.matcher()  # force the one-time automaton build out of the timed region
     return index
 
 

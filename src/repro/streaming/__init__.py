@@ -7,9 +7,9 @@ provides:
 
 * :mod:`repro.streaming.matcher` — the single-pass matching engine,
 * :mod:`repro.streaming.engine` — the multi-subscription engine: a
-  :class:`SubscriptionIndex` sharing the leading steps of thousands of
-  subscriptions in a prefix trie, and the :class:`MultiMatcher` advancing
-  all of them in one document pass (the paper's SDI use case at scale),
+  :class:`SubscriptionIndex` compiling thousands of subscriptions into one
+  shared automaton, and the :class:`MultiMatcher` advancing all of them in
+  one document pass (the paper's SDI use case at scale),
 * :mod:`repro.streaming.automaton` — the lazy-DFA structural dispatch
   backend (``backend="dfa"``): subscription spines compiled into one shared
   automaton, DFA states materialized lazily at match time,
@@ -71,10 +71,10 @@ Session lifecycle
 -----------------
 
 A :class:`MultiMatcher` is one *session*.  Freshly constructed it carries
-compiled per-subscription state (absolute sub-path registries, the
-verdict-mode branch countdowns) and no stream state.  ``feed`` accumulates
-stream state; ``EndDocument`` (or an early :meth:`~matcher.MatcherCore.halt`
-in verdict-only mode, once every subscription's verdict is decided —
+compiled per-subscription state (result sinks, absolute sub-path
+registries) and no stream state.  ``feed`` accumulates stream state;
+``EndDocument`` (or an early :meth:`~matcher.MatcherCore.halt` in
+verdict-only mode, once every subscription's verdict is decided —
 ``stats.events_skipped`` counts what was never consumed) finishes the
 session: results become readable and every expectation registry is torn
 down.  :meth:`~matcher.MatcherCore.reset` then rewinds the session to serve
@@ -111,10 +111,13 @@ via ``delivery=``:
   ``SubscriptionResult.payload``.  ``StreamStats.subtrees_emitted`` /
   ``bytes_emitted`` count what crossed the boundary.
 
-Backends: expectation engine vs lazy DFA
-----------------------------------------
+Backends: the lazy DFA and the reference mode
+---------------------------------------------
 
-Every matching entry point — :class:`StreamingMatcher`,
+There is one pipeline: structural dispatch either *accepts* a node for a
+subscription or fires a *gate*, and a gate hands the rest of the path to
+the expectation machinery of :mod:`repro.streaming.matcher`.  Every
+matching entry point — :class:`StreamingMatcher`,
 :meth:`SubscriptionIndex.matcher`/``evaluate``, :class:`DocumentBroker`,
 :func:`stream_evaluate` — takes ``backend="expectations" | "dfa"``
 (``None`` defers to the ``REPRO_STREAMING_BACKEND`` environment variable,
@@ -131,8 +134,9 @@ is warm a StartElement costs one dictionary lookup plus a stack push,
 *independent of the number of subscriptions*.  Structurally decided
 subscriptions (no qualifiers) are answered by DFA accept sets alone;
 qualifier-carrying ones run the expectation machinery only past a DFA
-*gate* — i.e. only on structurally-viable elements.  Memory is bounded on
-both axes: the transition table holds at most
+*gate* — i.e. only on structurally-viable elements; a member the automaton
+cannot carry at all (alternative explosion) is gated at the document root.
+Memory is bounded on both axes: the transition table holds at most
 ``SubscriptionIndex(dfa_transition_cap=...)`` entries (default 65536,
 FIFO eviction with on-the-fly subset construction past it —
 ``StreamStats.transition_cache_evictions``), and the materialized state
@@ -142,13 +146,13 @@ with ever-new tag combinations cannot grow the automaton without limit.
 A broker session keeps the warmed table across documents, which is where
 the ≥3x events/sec of ``benchmarks/bench_automaton_sdi.py`` comes from.
 
-``"expectations"`` advances one live expectation per (trie node, anchor);
-per-event cost scales with the expectations the event could match.  It
-handles every forward axis uniformly, needs no warmup, and is the
-*semantics reference*: the differential suites pin the automaton against
-it, and ``REPRO_STREAMING_BACKEND=expectations`` is the opt-out when a
-workload is better served without compilation (few subscriptions on
-one-shot documents) or when bisecting a suspected automaton bug.
+``"expectations"`` is the *semantics reference*: no automaton, every path
+spawned whole from the document root — N independent single-query matchers
+in one core, per-event cost scaling with the expectations the event could
+match.  It handles every forward axis uniformly and needs no warmup; the
+differential suites pin the automaton against it, and
+``REPRO_STREAMING_BACKEND=expectations`` is the switch for bisecting a
+suspected automaton bug.
 
 Live churn
 ----------
@@ -159,9 +163,8 @@ subscribes or unsubscribes, so a built :class:`SubscriptionIndex` is
 
 * :meth:`SubscriptionIndex.add_subscription(key, query)
   <SubscriptionIndex.add_subscription>` threads the new query into the
-  existing structures incrementally — prefix-trie branches are inserted in
-  place, and the new NFA fragments merge into the shared automaton followed
-  by a **targeted invalidation**: the epoch bumps, but only cached
+  built automaton incrementally — the new NFA fragments merge into it,
+  followed by a **targeted invalidation**: the epoch bumps, but only cached
   transitions whose NFA-state sets intersect the touched fragments are
   dropped (every materialized DFA state, and the state ids live runs hold,
   stay valid).  Only when the touched fragments reach more than
@@ -169,10 +172,10 @@ subscribes or unsubscribes, so a built :class:`SubscriptionIndex` is
   the wholesale flush (``ChurnStats.full_flushes``).
 * :meth:`SubscriptionIndex.remove_subscription(key)
   <SubscriptionIndex.remove_subscription>` is **ordinal retirement**: the
-  slot stays (no ordinal shifts, so no session rebuild), its trie branches
-  are unlinked, and deliveries for the ordinal are dropped at the sink
-  boundary — by live sessions too, immediately, mid-document.  The dead NFA
-  fragments linger until :meth:`SubscriptionIndex.vacuum` compacts them:
+  slot stays (no ordinal shifts, so no session rebuild) and deliveries for
+  the ordinal are dropped at the sink boundary — by live sessions too,
+  immediately, mid-document.  The dead NFA fragments linger until
+  :meth:`SubscriptionIndex.vacuum` compacts them:
   automatically once retired ordinals exceed ``vacuum_ratio`` (default
   0.25) of the index, or explicitly in a maintenance window.  A vacuum
   remaps ordinals and bumps the index *generation*; existing sessions must

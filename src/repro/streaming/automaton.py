@@ -46,13 +46,15 @@ event stream:
   conditions and spawn expectations for the remaining steps — the
   :class:`~repro.streaming.matcher.MatcherCore` machinery runs exclusively
   on structurally-viable elements;
-* members whose *first* step is already unsupported fall back to the
-  expectation engine wholesale (the caller keeps a fallback trie for them).
-  With sibling windows compiled and ``//`` descents folded instead of
-  forked, that is now a rare corner (adversarial named
-  ``descendant-or-self`` chains past the alternative cap), which is why
-  ``dfa`` is the default backend and the expectation engine serves as the
-  differential-testing semantics reference.
+* members the automaton cannot carry at all (adversarial named
+  ``descendant-or-self`` chains past the alternative cap) are gated *at
+  the root*: a gate on NFA state 0 with the whole member as its remainder,
+  fired once per document by :meth:`AutomatonRun.on_document_start`.  The
+  gate is therefore the only hand-off from structural dispatch to
+  expectations.
+
+``backend="expectations"`` — the differential-testing semantics reference —
+bypasses this module: every path is spawned whole from the document root.
 
 The automaton is shared — one compiled instance serves every matcher a
 :class:`SubscriptionIndex` hands out, and a reused broker session keeps the
@@ -142,7 +144,8 @@ class _Gate:
     conditions and spawns expectations for ``remaining`` anchored at that
     node.  Both tuples may be empty — an empty gate ( ``()``, ``()`` ) never
     exists; a gate with no qualifiers hands over at an unsupported axis, one
-    with no remaining steps re-checks only the final step's qualifiers.
+    with no remaining steps re-checks only the final step's qualifiers, and
+    one on NFA state 0 carrying a whole member hands over at the root.
     """
 
     ordinal: int
@@ -284,17 +287,16 @@ class _NfaBuilder:
 
 
 def _compile_path(builder: _NfaBuilder, ordinal: int,
-                  path: PathExpr) -> List[LocationPath]:
+                  path: PathExpr) -> None:
     """Compile one subscription's union members into the shared builder.
 
-    Returns the members the automaton cannot serve (first spine step
-    unsupported, or alternative explosion); the caller routes exactly those
-    through the expectation engine.  Shared by the bulk compilation below
-    and the live :meth:`SubscriptionAutomaton.add_member` — the ``(state,
-    item)`` chain memoization makes re-inserting an already-known member a
-    structural no-op either way.
+    A member the automaton cannot carry (alternative explosion) gets a root
+    gate: NFA state 0 hands the whole member to the expectation engine at
+    document start.  Shared by the bulk compilation below and the live
+    :meth:`SubscriptionAutomaton.add_member` — the ``(state, item)`` chain
+    memoization makes re-inserting an already-known member a structural
+    no-op either way.
     """
-    unsupported: List[LocationPath] = []
     for member in iter_union_members(path):
         if isinstance(member, Bottom):
             continue
@@ -307,9 +309,10 @@ def _compile_path(builder: _NfaBuilder, ordinal: int,
         alternatives = (None if split is None
                         else analysis.automaton_spine_alternatives(split[0]))
         if alternatives is None:
-            unsupported.append(member)
-            continue
-        _prefix, gate_qualifiers, remaining = split
+            # Root gate: the empty chain ends on state 0.
+            alternatives, gate_qualifiers, remaining = [()], (), member.steps
+        else:
+            _prefix, gate_qualifiers, remaining = split
         for items in alternatives:
             end_index = builder.chain(items)
             end = builder.states[end_index]
@@ -323,26 +326,18 @@ def _compile_path(builder: _NfaBuilder, ordinal: int,
                 if gate not in end.gates:
                     end.gates.append(gate)
                     builder.touched.add(end_index)
-    return unsupported
 
 
 def compile_subscription_automaton(
         subscriptions: Sequence[Tuple[int, PathExpr]],
-        transition_cap: int = DEFAULT_TRANSITION_CAP):
-    """Compile ``(ordinal, path)`` pairs into one shared lazy automaton.
-
-    Returns ``(automaton, fallback)`` where ``fallback`` maps ordinals to
-    the union members the automaton cannot serve; the caller routes exactly
-    those through the expectation engine.
-    """
+        transition_cap: int = DEFAULT_TRANSITION_CAP
+        ) -> "SubscriptionAutomaton":
+    """Compile ``(ordinal, path)`` pairs into one shared lazy automaton."""
     builder = _NfaBuilder()
-    fallback: Dict[int, List[LocationPath]] = {}
     for ordinal, path in subscriptions:
-        unsupported = _compile_path(builder, ordinal, path)
-        if unsupported:
-            fallback.setdefault(ordinal, []).extend(unsupported)
+        _compile_path(builder, ordinal, path)
     builder.touched.clear()
-    return SubscriptionAutomaton(builder, transition_cap), fallback
+    return SubscriptionAutomaton(builder, transition_cap)
 
 
 # ---------------------------------------------------------------------------
@@ -423,8 +418,7 @@ class SubscriptionAutomaton:
         return True
 
     # -- live churn --------------------------------------------------------
-    def add_member(self, ordinal: int, path: PathExpr,
-                   churn=None) -> List[LocationPath]:
+    def add_member(self, ordinal: int, path: PathExpr, churn=None) -> None:
         """Thread one more subscription's fragments into the live automaton.
 
         The incremental mirror of :func:`compile_subscription_automaton`:
@@ -435,14 +429,13 @@ class SubscriptionAutomaton:
         patched, everything else (including the state ids live runs hold on
         their stacks) survives.  Above :data:`TARGETED_FLUSH_RATIO` the
         repair degenerates to the wholesale flush live runs already resync
-        from.  Returns the union members the automaton cannot serve; the
-        caller routes those through its fallback trie.  ``churn`` is the
-        index's :class:`~repro.streaming.stats.ChurnStats`.
+        from.  ``churn`` is the index's
+        :class:`~repro.streaming.stats.ChurnStats`.
         """
         builder = self._builder
         builder.touched.clear()
         before = len(builder.states)
-        unsupported = _compile_path(builder, ordinal, path)
+        _compile_path(builder, ordinal, path)
         touched = frozenset(builder.touched)
         builder.touched.clear()
         fresh = range(before, len(builder.states))
@@ -458,7 +451,6 @@ class SubscriptionAutomaton:
                 self._nfa[q].arm_sib or self._nfa[q].arm_fol
                 for q in (*touched, *fresh))
         self._invalidate_touched(touched, churn)
-        return unsupported
 
     def _invalidate_touched(self, touched: FrozenSet[int], churn) -> None:
         """Repair the materialized DFA view after an NFA mutation.
@@ -831,8 +823,8 @@ class AutomatonRun:
         steps resolve — which is also where substream capture windows open
         (:meth:`~repro.streaming.matcher.MatcherCore._capture_candidate`).
         DFA-accepted structural members therefore start their captures at
-        the accepting element's own StartElement, exactly like trie
-        terminals on the expectation backend: ``on_node`` runs inside the
+        the accepting element's own StartElement, exactly like final-step
+        matches on the expectation backend: ``on_node`` runs inside the
         core's ``_start_node``, before the event reaches the shared tee.
         """
         sink_of = self._sink_of

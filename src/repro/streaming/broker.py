@@ -8,7 +8,7 @@ chunks — and must route each one to the standing subscriptions it matches.
 
 * the subscriptions are compiled **once** into a
   :class:`~repro.streaming.engine.SubscriptionIndex` (parse, reverse-axis
-  rewriting, prefix-trie merge);
+  rewriting, merge into the shared automaton);
 * one resumable :class:`~repro.streaming.engine.MultiMatcher` session is
   created lazily and *reused* across documents via
   :meth:`~repro.streaming.matcher.MatcherCore.reset`, so the per-document
@@ -174,7 +174,6 @@ class DocumentBroker:
                                             Mapping[Hashable, TypingUnion[str, PathExpr]],
                                             Iterable[TypingUnion[str, PathExpr]]] = None,
                  matches_only: bool = False,
-                 indexed: bool = True,
                  backend: Optional[str] = None,
                  keep_whitespace: bool = False,
                  ruleset: str = "ruleset2",
@@ -202,7 +201,6 @@ class DocumentBroker:
                     "SubstreamDelivery(on_payload=...) or on_payload alone")
         self._delivery = resolve_delivery(delivery, matches_only)
         self._matches_only = self._delivery.matches_only
-        self._indexed = indexed
         # Resolved once at construction so a long-lived broker is immune to
         # later environment changes.
         self._backend = resolve_backend(backend)
@@ -226,7 +224,8 @@ class DocumentBroker:
         return len(self._index)
 
     def add(self, query, key: Optional[Hashable] = None) -> Subscription:
-        """Register one more subscription; the session is rebuilt lazily.
+        """Register one more subscription; the session syncs at the next
+        submit.
 
         Only available when the broker built its own index.  A
         ``SubscriptionIndex`` handed in by the caller may be shared with
@@ -234,15 +233,11 @@ class DocumentBroker:
         subscription on it *before* constructing the brokers instead.
         """
         self._check_owns_index()
-        subscription = self._index.add(query, key=key)
-        self._matcher = None
-        return subscription
+        return self._index.add(query, key=key)
 
     def add_many(self, subscriptions) -> List[Subscription]:
         self._check_owns_index()
-        added = self._index.add_many(subscriptions)
-        self._matcher = None
-        return added
+        return self._index.add_many(subscriptions)
 
     def _check_owns_index(self) -> None:
         if not self._owns_index:
@@ -289,7 +284,6 @@ class DocumentBroker:
             # or a previous submission left an unsalvageable session:
             # build a fresh one.
             matcher = index.matcher(matches_only=self._matches_only,
-                                    indexed=self._indexed,
                                     backend=self._backend,
                                     delivery=self._delivery)
             self._matcher = matcher

@@ -212,10 +212,11 @@ class SubtreeTee:
     node-id mode, which never opens a window, pays nothing at all.
 
     A timing invariant of the engine makes the single pass possible: every
-    element match — trie terminal, DFA accept, gate remainder, self-axis —
-    fires *during that element's StartElement processing*, so the window's
-    ``start`` index can be taken before the StartElement is appended and
-    the slice always begins at the matched element's own start tag.
+    element match — final-step expectation, DFA accept, gate remainder,
+    self-axis — fires *during that element's StartElement processing*, so
+    the window's ``start`` index can be taken before the StartElement is
+    appended and the slice always begins at the matched element's own start
+    tag.
     """
 
     __slots__ = ("region", "open_windows", "_windows_by_node",

@@ -8,22 +8,24 @@ full passes of per-event work for N subscribers.  This module shares that
 work in the tradition of shared-index filtering engines (XFilter/YFilter):
 
 * :class:`SubscriptionIndex` compiles every subscription once — parsing and
-  reverse-axis removal are memoized through
-  :mod:`repro.xpath.cache` — and merges the leading steps of all
-  subscriptions into a prefix *trie*.  Two subscriptions whose paths start
-  with the same steps (same axis, node test and qualifiers) are represented
-  by the same trie nodes.
-* :class:`MultiMatcher` advances the whole trie over one event stream in a
-  single pass.  One expectation per (trie node, anchor) replaces one
-  expectation per (subscription, step, anchor); qualifier conditions of a
-  shared step are built once per matched node and reused by every
-  subscription downstream.  Absolute sub-paths mentioned in qualifiers and
-  joins are matched once, shared across *all* subscriptions.  Live
-  expectations sit in the core's tag-indexed dispatch structure, so a node
-  event touches only the trie branches whose next step could match it; in
-  verdict-only mode a branch is retired — its expectations unlinked, its
-  spawning stopped — the moment the last subscription below it is
-  satisfied.
+  reverse-axis removal are memoized through :mod:`repro.xpath.cache` — and
+  merges their structural spines into one shared lazy automaton
+  (:mod:`repro.streaming.automaton`), maintained incrementally under live
+  churn.
+* :class:`MultiMatcher` advances all subscriptions over one event stream in
+  a single pass.  The automaton dispatches structure; a union member leaves
+  it either as an *accept* (a decided match) or through a qualifier *gate*,
+  which hands the member's remaining steps to the expectation machinery of
+  :class:`~repro.streaming.matcher.MatcherCore` — members the automaton
+  cannot carry are gated at the document root.  Absolute sub-paths
+  mentioned in qualifiers and joins are matched once, shared across *all*
+  subscriptions.  In verdict-only mode the result sinks are existence
+  sinks: the moment a subscription is satisfied, the expectations still
+  feeding its sink are unlinked and its gates stop firing.
+* ``backend="expectations"`` is the differential *reference*: no automaton,
+  every subscription's path spawned whole from the document root — N
+  independent single-query matchers in one core, sharing nothing but the
+  event loop.
 
 The per-subscription semantics are exactly those of
 :func:`repro.streaming.stream_evaluate` — the property tests assert result
@@ -50,7 +52,6 @@ from repro.streaming.delivery import (
     resolve_delivery,
 )
 from repro.streaming.matcher import (
-    Continuation,
     MatcherCore,
     _DROPPED_SINK,
     _Sink,
@@ -62,177 +63,10 @@ from repro.xpath.ast import (
     Bottom,
     LocationPath,
     PathExpr,
-    Step,
     iter_union_members,
 )
 from repro.xpath.cache import QueryCache, default_cache
 from repro.xpath.serializer import to_string
-
-
-# ---------------------------------------------------------------------------
-# The subscription trie
-# ---------------------------------------------------------------------------
-
-class _TrieNode:
-    """One shared step of the subscription trie.
-
-    ``children`` is keyed on the full :class:`~repro.xpath.ast.Step` — axis,
-    node test *and* qualifiers must agree for two subscriptions to share
-    matching state (steps are frozen dataclasses, so structural equality is
-    exactly the sharing criterion).  ``terminals`` lists the ordinals of the
-    subscriptions whose path ends at this node; ``sub_ids`` the ordinals of
-    every subscription reachable at or below it, used to prune expectations
-    once all of them are already satisfied.
-    """
-
-    __slots__ = ("step", "children", "terminals", "sub_ids", "cont",
-                 "nodes_by_ordinal")
-
-    def __init__(self, step: Optional[Step] = None):
-        self.step = step
-        self.children: Dict[Step, "_TrieNode"] = {}
-        self.terminals: List[int] = []
-        self.sub_ids: frozenset = frozenset()
-        self.cont = _TrieContinuation(self)
-        #: Only populated on the root by :meth:`seal`: ordinal -> every trie
-        #: node whose subtree serves that subscription.  This is the reverse
-        #: index the matcher walks when a subscription settles, to retire
-        #: exactly the branches that no longer serve anyone.
-        self.nodes_by_ordinal: Dict[int, List["_TrieNode"]] = {}
-
-    def child(self, step: Step) -> "_TrieNode":
-        node = self.children.get(step)
-        if node is None:
-            node = _TrieNode(step)
-            self.children[step] = node
-        return node
-
-    def seal(self) -> frozenset:
-        """Compute ``sub_ids`` bottom-up once the trie is fully built, plus
-        the reverse ``nodes_by_ordinal`` index of the sealed (sub-)trie."""
-        self._seal_ids()
-        reverse: Dict[int, List["_TrieNode"]] = {}
-        stack = list(self.children.values())
-        while stack:
-            node = stack.pop()
-            for ordinal in node.sub_ids:
-                reverse.setdefault(ordinal, []).append(node)
-            stack.extend(node.children.values())
-        self.nodes_by_ordinal = reverse
-        return self.sub_ids
-
-    def _seal_ids(self) -> frozenset:
-        ids = set(self.terminals)
-        for node in self.children.values():
-            ids.update(node._seal_ids())
-        self.sub_ids = frozenset(ids)
-        return self.sub_ids
-
-    def node_count(self) -> int:
-        """Number of step nodes in the (sub-)trie, excluding the root."""
-        return sum(1 + node.node_count() for node in self.children.values())
-
-
-def _build_trie(members_by_ordinal) -> _TrieNode:
-    """Build and seal a subscription trie from ``(ordinal, member)`` pairs.
-
-    Shared by the full trie (expectation backend) and the fallback trie
-    (the members the DFA backend cannot serve) so the two can never drift.
-    """
-    root = _TrieNode()
-    for ordinal, member in members_by_ordinal:
-        node = root
-        for step in member.steps:
-            node = node.child(step)
-        node.terminals.append(ordinal)
-    root.seal()
-    return root
-
-
-def _trie_insert(root: _TrieNode, ordinal: int, member: LocationPath) -> None:
-    """Thread one union member into a live (already sealed) trie.
-
-    The incremental mirror of :func:`_build_trie` + :meth:`_TrieNode.seal`:
-    the ``sub_ids`` sets along the branch and the root's reverse
-    ``nodes_by_ordinal`` index are updated in place, each node listed once
-    per ordinal exactly as ``seal`` would have it — the matcher's
-    branch-retirement countdowns depend on that invariant.
-    """
-    nodes = root.nodes_by_ordinal.setdefault(ordinal, [])
-    root.sub_ids = root.sub_ids | {ordinal}
-    node = root
-    for step in member.steps:
-        node = node.child(step)
-        if ordinal not in node.sub_ids:
-            node.sub_ids = node.sub_ids | {ordinal}
-            nodes.append(node)
-    node.terminals.append(ordinal)
-
-
-def _trie_remove(root: _TrieNode, ordinal: int,
-                 members: Sequence[LocationPath]) -> None:
-    """Unlink one subscription from a live trie, pruning emptied branches.
-
-    ``members`` are the union members the subscription may have threaded in
-    (members never inserted — e.g. automaton-served ones, for a fallback
-    trie — walk to a missing child and are skipped).  Pruning walks each
-    member's branch bottom-up and drops nodes that serve nobody, so a
-    churning index does not accrete dead steps between vacuums.
-    """
-    for node in root.nodes_by_ordinal.pop(ordinal, ()):
-        node.sub_ids = node.sub_ids - {ordinal}
-        while ordinal in node.terminals:
-            node.terminals.remove(ordinal)
-    root.sub_ids = root.sub_ids - {ordinal}
-    while ordinal in root.terminals:
-        # The path "/" terminates on the root itself (outside the reverse
-        # index, which only covers step nodes).
-        root.terminals.remove(ordinal)
-    for member in members:
-        chain = [root]
-        node = root
-        for step in member.steps:
-            node = node.children.get(step)
-            if node is None:
-                break
-            chain.append(node)
-        else:
-            for child, parent in zip(reversed(chain[1:]),
-                                     reversed(chain[:-1])):
-                if child.sub_ids or child.children:
-                    break
-                parent.children.pop(child.step, None)
-
-
-class _TrieContinuation(Continuation):
-    """Advance every subscription hanging off a trie node at once."""
-
-    __slots__ = ("node",)
-
-    def __init__(self, node: _TrieNode):
-        self.node = node
-
-    def dead(self, core: "MultiMatcher") -> bool:
-        return core.trie_node_dead(self.node)
-
-    def register(self, core: "MultiMatcher", expectation) -> None:
-        core.watch_trie_node(self.node, expectation)
-
-    def proceed(self, core: "MultiMatcher", node_id: int, depth: int,
-                is_element: bool, tag, value,
-                conditions, is_attribute: bool = False) -> None:
-        node = self.node
-        for ordinal in node.terminals:
-            core._deliver(ordinal, node_id, depth, is_element, value,
-                          conditions)
-        for child in node.children.values():
-            # spawn_step itself skips children whose branch is already
-            # retired (their continuation reports dead).
-            core.spawn_step(child.step, child.cont, anchor_id=node_id,
-                            anchor_depth=depth, anchor_is_element=is_element,
-                            anchor_tag=tag, anchor_value=value,
-                            conditions=conditions,
-                            anchor_is_attribute=is_attribute)
 
 
 # ---------------------------------------------------------------------------
@@ -304,19 +138,19 @@ class MultiMatcher(MatcherCore):
     """Single-pass matcher for a whole subscription index.
 
     Built by :meth:`SubscriptionIndex.matcher`; one instance matches one
-    document (the expectations are stream state).  With ``matches_only`` the
-    per-subscription result sinks resolve eagerly: as soon as a subscription
-    is known to match, its verdict is fixed, its buffered entries are
-    dropped, and trie branches that only serve already-satisfied
-    subscriptions stop spawning expectations — the SDI fast path.
+    document at a time (the expectations are stream state).  With
+    ``matches_only`` the per-subscription result sinks resolve eagerly: as
+    soon as a subscription is known to match, its verdict is fixed, its
+    buffered entries are dropped, the expectations feeding its sink are
+    unlinked and its gates stop firing — the SDI fast path.
     """
 
-    def __init__(self, subscriptions: Sequence[Subscription], trie: _TrieNode,
-                 matches_only: bool = False, indexed: bool = True,
+    def __init__(self, subscriptions: Sequence[Subscription],
+                 matches_only: bool = False,
                  automaton: Optional[SubscriptionAutomaton] = None,
                  delivery: Optional[Delivery] = None,
                  index: Optional["SubscriptionIndex"] = None):
-        super().__init__(indexed=indexed)
+        super().__init__()
         #: Live churn (see :meth:`sync`): the index this session serves, the
         #: retired-ordinal set shared with it *by reference* (removals take
         #: effect immediately, mid-document included), and the version /
@@ -332,7 +166,6 @@ class MultiMatcher(MatcherCore):
         matches_only = delivery.matches_only
         self._delivery = delivery
         self._subscriptions = tuple(subscriptions)
-        self._trie = trie
         self._matches_only = matches_only
         self._automaton = automaton
         if delivery.captures:
@@ -347,29 +180,19 @@ class MultiMatcher(MatcherCore):
         #: (subscription, node); the payload is emitted once.
         self._emitted_captures: set = set()
         if automaton is not None:
-            # Lazy-DFA backend: the trie passed in covers only the fallback
-            # members; everything else dispatches through the automaton.
             self._automaton_run = AutomatonRun(automaton,
                                                self._structural_sink)
         self._sinks = [_Sink(exists_only=matches_only)
                        for _ in self._subscriptions]
-        #: Reverse map for verdict bookkeeping: a result sink can satisfy
-        #: outside :meth:`_deliver` too (the end-of-event settlement pass
-        #: that decides ``[@a]``-style qualifiers at StartElement), so the
-        #: subscription lookup happens in :meth:`_sink_satisfied`.
+        #: Reverse map for verdict bookkeeping and capture routing: a result
+        #: sink can satisfy on any delivery path (immediately, or in the
+        #: end-of-event settlement pass that decides ``[@a]``-style
+        #: qualifiers at StartElement), so the subscription lookup happens
+        #: in :meth:`_sink_satisfied`.
         self._ordinal_by_sink: Dict[int, int] = {
             id(sink): ordinal for ordinal, sink in enumerate(self._sinks)}
         self._satisfied: set = set()
-        #: Trie branches that no longer serve any unsatisfied subscription.
-        self._dead_trie_nodes: set = set()
         if matches_only:
-            # Per-node countdown of unsatisfied subscriptions; a branch is
-            # retired (and its live expectations unlinked) the moment its
-            # count reaches zero.  Only the verdict-only mode ever satisfies
-            # a result sink mid-stream, so the full-result mode skips the
-            # bookkeeping entirely.
-            self._trie_watchers: Dict[_TrieNode, Dict[int, object]] = {}
-            self._seed_trie_counts()
             self._seed_retired_verdicts()
         for subscription in self._subscriptions:
             self._register_absolute_subpaths(subscription.path)
@@ -387,25 +210,9 @@ class MultiMatcher(MatcherCore):
             return _DROPPED_SINK
         return self._sinks[ordinal]
 
-    def _seed_trie_counts(self) -> None:
-        """(Re)build the verdict-mode branch countdowns from the live trie.
-
-        Runs at construction, on :meth:`reset` and on :meth:`sync` — the
-        trie is mutated in place by live churn, so the node set and each
-        node's ``sub_ids`` may have changed since the last seeding."""
-        counts: Dict[_TrieNode, int] = {}
-        stack = list(self._trie.children.values())
-        while stack:
-            node = stack.pop()
-            counts[node] = len(node.sub_ids)
-            stack.extend(node.children.values())
-        self._trie_unsatisfied = counts
-
     def _seed_retired_verdicts(self) -> None:
         """Count retired ordinals as settled so early termination still
-        fires: their sinks can never satisfy (every delivery is dropped),
-        and their trie branches are already unlinked, so no
-        :meth:`_retire_subscription` bookkeeping applies."""
+        fires: their sinks can never satisfy (every delivery is dropped)."""
         self._satisfied.update(
             ordinal for ordinal in self._retired
             if ordinal < len(self._subscriptions))
@@ -422,13 +229,11 @@ class MultiMatcher(MatcherCore):
         """Make the matcher ready for the next document of a session.
 
         Construction is the expensive part at scale — it walks every
-        subscription's AST to register absolute sub-paths and (in
-        verdict-only mode) the whole trie to seed the per-branch countdowns.
-        ``reset`` keeps all of that and only clears the per-document state:
-        sinks, satisfied verdicts, retired branches and the core's
-        expectation registries.  This is what lets one
-        :class:`~repro.streaming.broker.DocumentBroker` session amortize the
-        compiled index over a continuous feed of documents.
+        subscription's AST to register absolute sub-paths.  ``reset`` keeps
+        that and only clears the per-document state: sinks, satisfied
+        verdicts and the core's expectation registries.  This is what lets
+        one :class:`~repro.streaming.broker.DocumentBroker` session amortize
+        the compiled index over a continuous feed of documents.
         """
         if (self._index is not None
                 and self._index.generation != self._generation):
@@ -440,12 +245,9 @@ class MultiMatcher(MatcherCore):
             sink.entries.clear()
             sink.satisfied = False
         self._satisfied.clear()
-        self._dead_trie_nodes.clear()
         self._payloads = {}
         self._emitted_captures = set()
         if self._matches_only:
-            self._seed_trie_counts()
-            self._trie_watchers.clear()
             self._seed_retired_verdicts()
 
     def sync(self) -> None:
@@ -454,11 +256,10 @@ class MultiMatcher(MatcherCore):
         The churn counterpart of :meth:`reset`, called *between* documents
         (the broker's checkout does it whenever the index version moved):
         appends sinks and per-subscription registries for every ordinal
-        added since the last sync and reseeds the verdict-mode branch
-        countdowns from the mutated trie.  Removals need no per-matcher
-        work — the retired set is shared by reference and consulted at
-        delivery time.  A vacuumed index (generation bump) cannot be synced
-        to: ordinals were remapped, build a fresh matcher.
+        added since the last sync.  Removals need no per-matcher work — the
+        retired set is shared by reference and consulted at delivery time.
+        A vacuumed index (generation bump) cannot be synced to: ordinals
+        were remapped, build a fresh matcher.
         """
         index = self._index
         if index is None:
@@ -480,7 +281,6 @@ class MultiMatcher(MatcherCore):
             self._register_absolute_subpaths(subscriptions[ordinal].path)
         self._subscriptions = tuple(subscriptions)
         if self._matches_only:
-            self._seed_trie_counts()
             self._seed_retired_verdicts()
         self._synced_version = index.version
 
@@ -492,32 +292,11 @@ class MultiMatcher(MatcherCore):
 
     # -- spawning ----------------------------------------------------------
     def _spawn_roots(self, root_id: int) -> None:
-        root = self._trie
-        for ordinal in root.terminals:
-            # The path "/" selects the document root itself.
-            self._deliver(ordinal, root_id, 0, False, None, ())
-        for child in root.children.values():
-            self.spawn_step(child.step, child.cont, anchor_id=root_id,
-                            anchor_depth=0, anchor_is_element=False,
-                            anchor_tag=None, anchor_value=None,
-                            conditions=())
-
-    def _deliver(self, ordinal: int, node_id: int, depth: int,
-                 is_element: bool, value, conditions) -> None:
-        """A subscription's final step matched ``node_id``.
-
-        Verdict bookkeeping happens in :meth:`_sink_satisfied`, which fires
-        on *every* satisfaction path — immediate (unconditioned match) or
-        deferred to the end-of-event settlement pass (attribute-qualified
-        match decided by the same StartElement).
-        """
-        if ordinal in self._retired or ordinal >= len(self._sinks):
-            # Live churn: unsubscribed mid-feed (drop immediately), or a
-            # trie branch added mid-document for a subscription this
-            # session will only carry after its next sync.
-            return
-        self.add_candidate(self._sinks[ordinal], node_id, depth, is_element,
-                           value, conditions, collect_values=False)
+        retired = self._retired
+        for subscription, sink in zip(self._subscriptions, self._sinks):
+            if subscription.ordinal not in retired:
+                self.spawn_root_expr(subscription.path, sink,
+                                     collect_values=False, root_id=root_id)
 
     # -- substream capture -------------------------------------------------
     def _capture_ordinal(self, sink: _Sink) -> Optional[int]:
@@ -553,40 +332,6 @@ class MultiMatcher(MatcherCore):
                 and ordinal not in self._satisfied
                 and ordinal not in self._retired):
             self._satisfied.add(ordinal)
-            self._retire_subscription(ordinal)
-
-    # -- incremental trie pruning ------------------------------------------
-    def trie_node_dead(self, node: _TrieNode) -> bool:
-        """O(1): does ``node``'s subtree still serve anyone unsatisfied?"""
-        return node in self._dead_trie_nodes
-
-    def watch_trie_node(self, node: _TrieNode, expectation) -> None:
-        """Track a live expectation of ``node`` for unlink-on-satisfaction."""
-        if not self._matches_only:
-            # Result sinks never satisfy mid-stream in full-result mode, so
-            # the branch can never die: nothing to watch.
-            return
-        table = self._trie_watchers.setdefault(node, {})
-        table[expectation.serial] = expectation
-        expectation.watch = table
-
-    def _retire_subscription(self, ordinal: int) -> None:
-        """``ordinal`` just settled: retire branches it was the last user of."""
-        for node in self._trie.nodes_by_ordinal.get(ordinal, ()):
-            count = self._trie_unsatisfied.get(node)
-            if count is None:
-                # Branch threaded in by live churn after the last seeding:
-                # it only serves next-document subscriptions, and retiring
-                # it on a stale countdown could silence survivors.
-                continue
-            remaining = count - 1
-            self._trie_unsatisfied[node] = remaining
-            if remaining == 0:
-                self._dead_trie_nodes.add(node)
-                watchers = self._trie_watchers.pop(node, None)
-                if watchers:
-                    for expectation in list(watchers.values()):
-                        self._expire(expectation)
 
     # -- results -----------------------------------------------------------
     def results(self) -> MultiMatchResult:
@@ -632,7 +377,7 @@ class MultiMatcher(MatcherCore):
 
 
 class SubscriptionIndex:
-    """Compiles subscriptions and shares their leading steps in a trie.
+    """Compiles subscriptions and merges them into one shared automaton.
 
     Subscriptions are added with :meth:`add` (or in bulk through the
     constructor / :meth:`add_many`) as xPath text or ASTs; reverse axes are
@@ -641,23 +386,22 @@ class SubscriptionIndex:
     share is parsed and rewritten exactly once.
 
     One index serves any number of documents: :meth:`matcher` hands out a
-    fresh single-pass :class:`MultiMatcher` over the shared trie.
+    fresh single-pass :class:`MultiMatcher` over the shared automaton.
 
     **Live churn.**  A production router cannot recompile the world when
     one user subscribes or unsubscribes, so the shared structures are
     mutated *incrementally* on a running index:
 
-    * :meth:`add_subscription` threads the new branches into the built
-      prefix/fallback tries in place and inserts the new NFA fragments into
-      the shared automaton with a *targeted* DFA invalidation (epoch bump
-      plus patching only the materialized states the fragments touch — see
+    * :meth:`add_subscription` inserts the new NFA fragments into the
+      shared automaton with a *targeted* DFA invalidation (epoch bump plus
+      patching only the materialized states the fragments touch — see
       :meth:`~repro.streaming.automaton.SubscriptionAutomaton.add_member`);
-    * :meth:`remove_subscription` is ordinal retirement: trie branches are
-      unlinked and pruned immediately, deliveries for the ordinal are
-      dropped at the sink boundary (live sessions included — the retired
-      set is shared by reference), and the automaton keeps the dead
-      fragments until :meth:`vacuum` compacts them away — automatically
-      once retired ordinals exceed ``vacuum_ratio`` of the index;
+    * :meth:`remove_subscription` is ordinal retirement: deliveries for the
+      ordinal are dropped at the sink boundary (live sessions included —
+      the retired set is shared by reference), and the automaton keeps the
+      dead fragments until :meth:`vacuum` compacts them away —
+      automatically once retired ordinals exceed ``vacuum_ratio`` of the
+      index;
     * running :class:`MultiMatcher` sessions resync between documents
       (:meth:`MultiMatcher.sync`, driven by the :attr:`version` counter):
       adds take effect at the session's next document, removals at once.
@@ -677,12 +421,9 @@ class SubscriptionIndex:
         self._cache = cache if cache is not None else default_cache()
         self._subscriptions: List[Subscription] = []
         self._by_key: Dict[Hashable, Subscription] = {}
-        self._trie: Optional[_TrieNode] = None
         self._dfa_transition_cap = dfa_transition_cap
-        #: Lazily compiled DFA-backend parts: the shared automaton plus the
-        #: trie over the members it cannot serve (see :meth:`matcher`).
-        self._automaton_parts: Optional[
-            Tuple[SubscriptionAutomaton, _TrieNode]] = None
+        #: The lazily compiled shared automaton (see :meth:`matcher`).
+        self._automaton: Optional[SubscriptionAutomaton] = None
         #: Retired ordinals (removed subscriptions awaiting compaction).
         #: Shared by reference with every matcher this index hands out, so
         #: removal takes effect on live sessions immediately.
@@ -732,17 +473,10 @@ class SubscriptionIndex:
         self._subscriptions.append(subscription)
         self._by_key[key] = subscription
         self._version += 1
-        # Structures not built yet stay lazy; built ones are updated
+        # An automaton not built yet stays lazy; a built one is updated
         # *incrementally* — live churn never recompiles the world.
-        if self._trie is not None:
-            for member in iter_union_members(path):
-                if not isinstance(member, Bottom):
-                    _trie_insert(self._trie, ordinal, member)
-        if self._automaton_parts is not None:
-            automaton, fallback_trie = self._automaton_parts
-            for member in automaton.add_member(ordinal, path,
-                                               churn=self.churn):
-                _trie_insert(fallback_trie, ordinal, member)
+        if self._automaton is not None:
+            self._automaton.add_member(ordinal, path, churn=self.churn)
         return subscription
 
     def add_many(self, subscriptions) -> List[Subscription]:
@@ -763,11 +497,10 @@ class SubscriptionIndex:
 
         Exactly :meth:`add` with the key required up front (a pub/sub
         server always has a subscriber identity), counted in :attr:`churn`.
-        Built structures are updated incrementally — prefix/fallback trie
-        branches threaded in place, NFA fragments inserted with a targeted
-        DFA invalidation — and live sessions pick the addition up at their
-        next document (:meth:`MultiMatcher.sync`, which the broker's
-        checkout drives off the :attr:`version` counter).
+        A built automaton is updated incrementally — NFA fragments inserted
+        with a targeted DFA invalidation — and live sessions pick the
+        addition up at their next document (:meth:`MultiMatcher.sync`,
+        which the broker's checkout drives off the :attr:`version` counter).
         """
         subscription = self.add(query, key=key)
         self.churn.subscriptions_added += 1
@@ -777,9 +510,8 @@ class SubscriptionIndex:
         """Live churn: drop one subscription from a running index.
 
         Removal is *ordinal retirement*: the slot stays (ordinals of the
-        survivors are untouched, so no session rebuild), its trie branches
-        are unlinked and pruned in place, and every delivery for the
-        ordinal is dropped at the sink boundary — including by live
+        survivors are untouched, so no session rebuild) and every delivery
+        for the ordinal is dropped at the sink boundary — including by live
         sessions mid-document, which share the retired set by reference.
         The shared automaton keeps the now-dead NFA fragments; once retired
         ordinals exceed ``vacuum_ratio`` of the index, :meth:`vacuum`
@@ -791,18 +523,8 @@ class SubscriptionIndex:
             subscription = self._by_key.pop(key)
         except KeyError:
             raise KeyError(f"no subscription with key {key!r}") from None
-        ordinal = subscription.ordinal
-        self._retired.add(ordinal)
+        self._retired.add(subscription.ordinal)
         self._version += 1
-        members = [member
-                   for member in iter_union_members(subscription.path)
-                   if not isinstance(member, Bottom)]
-        if self._trie is not None:
-            _trie_remove(self._trie, ordinal, members)
-        if self._automaton_parts is not None:
-            # Only the fallback members ever reached this trie; the others
-            # walk to a missing child and are skipped.
-            _trie_remove(self._automaton_parts[1], ordinal, members)
         self.churn.subscriptions_removed += 1
         if len(self._retired) > self._vacuum_ratio * len(self._subscriptions):
             self.vacuum()
@@ -811,10 +533,10 @@ class SubscriptionIndex:
     def vacuum(self) -> int:
         """Deferred compaction: rebuild without the retired ordinals.
 
-        Survivor ordinals are remapped to close the gaps and the trie /
-        automaton are dropped for lazy recompilation, so the shared NFA
-        sheds the dead fragments removal left behind.  Runs automatically
-        from :meth:`remove_subscription` past ``vacuum_ratio``; callable
+        Survivor ordinals are remapped to close the gaps and the automaton
+        is dropped for lazy recompilation, so the shared NFA sheds the dead
+        fragments removal left behind.  Runs automatically from
+        :meth:`remove_subscription` past ``vacuum_ratio``; callable
         explicitly (e.g. in a maintenance window).  Existing sessions are
         invalidated by the generation bump — the broker builds a fresh one
         at its next checkout — but keep their own pre-vacuum view (retired
@@ -833,8 +555,7 @@ class SubscriptionIndex:
         self._by_key = {subscription.key: subscription
                         for subscription in self._subscriptions}
         self._retired = set()
-        self._trie = None
-        self._automaton_parts = None
+        self._automaton = None
         self._generation += 1
         self._version += 1
         self.churn.vacuum_runs += 1
@@ -866,89 +587,58 @@ class SubscriptionIndex:
     def __len__(self) -> int:
         return len(self._subscriptions) - len(self._retired)
 
-    def _built_trie(self) -> _TrieNode:
-        if self._trie is None:
-            retired = self._retired
-            self._trie = _build_trie(
-                (subscription.ordinal, member)
-                for subscription in self._subscriptions
-                if subscription.ordinal not in retired
-                for member in iter_union_members(subscription.path)
-                if not isinstance(member, Bottom))
-        return self._trie
+    def _built_automaton(self) -> SubscriptionAutomaton:
+        """The shared lazy automaton (DFA backend).
 
-    def _built_automaton(self) -> Tuple[SubscriptionAutomaton, _TrieNode]:
-        """The shared lazy automaton plus the fallback trie (DFA backend).
-
-        Compiled once per subscription set: the automaton covers every
-        union member whose spine it can serve, the trie the rest.  The
-        automaton instance — and with it the warmed DFA transition table —
-        is shared by every matcher this index hands out.
+        Compiled once per subscription set.  The instance — and with it the
+        warmed DFA transition table — is shared by every matcher this index
+        hands out.
         """
-        if self._automaton_parts is None:
+        if self._automaton is None:
             retired = self._retired
-            automaton, fallback = compile_subscription_automaton(
+            self._automaton = compile_subscription_automaton(
                 [(subscription.ordinal, subscription.path)
                  for subscription in self._subscriptions
                  if subscription.ordinal not in retired],
                 transition_cap=self._dfa_transition_cap)
-            fallback_trie = _build_trie(
-                (ordinal, member)
-                for ordinal, members in fallback.items()
-                for member in members)
-            self._automaton_parts = (automaton, fallback_trie)
-        return self._automaton_parts
+        return self._automaton
 
     # -- sharing report ----------------------------------------------------
     def sharing_summary(self) -> dict:
-        """Trie compression figures (see ``analysis.prefix_sharing_summary``).
-
-        ``trie_nodes`` is the number of shared step expectations the engine
-        walks instead of ``spine_steps`` independent ones.
-        """
-        summary = analysis.prefix_sharing_summary(
+        """Leading-step overlap of the live subscriptions (see
+        ``analysis.prefix_sharing_summary``)."""
+        return analysis.prefix_sharing_summary(
             subscription.path for subscription in self.subscriptions)
-        summary["trie_nodes_built"] = self._built_trie().node_count()
-        return summary
 
     # -- matching ----------------------------------------------------------
     def matcher(self, matches_only: bool = False,
-                indexed: bool = True,
                 backend: Optional[str] = None,
                 delivery: Optional[Delivery] = None) -> MultiMatcher:
-        """A fresh single-pass matcher over the shared trie.
+        """A fresh single-pass matcher over the live subscriptions.
 
         ``backend="dfa"`` (the default) selects lazy-DFA structural dispatch
         (shared automaton, expectation engine only past qualifier gates —
-        see :mod:`repro.streaming.automaton`); ``"expectations"`` the pure
-        expectation engine, kept as the differential semantics reference;
-        ``None`` defers to ``REPRO_STREAMING_BACKEND``, then to ``"dfa"``.
-        ``indexed=False`` selects the linear-scan reference engine (every
-        live expectation examined on every event) — same results, kept for
-        benchmarking the dispatch index against.
+        see :mod:`repro.streaming.automaton`); ``"expectations"`` the
+        differential semantics reference, every subscription spawned whole
+        from the document root; ``None`` defers to
+        ``REPRO_STREAMING_BACKEND``, then to ``"dfa"``.
 
         ``delivery`` picks the emission layer (verdict / node ids /
         substream — see :mod:`repro.streaming.delivery`); ``None`` keeps the
         legacy behaviour of ``matches_only``.
         """
-        if resolve_backend(backend) == "dfa":
-            automaton, fallback_trie = self._built_automaton()
-            return MultiMatcher(self._subscriptions, fallback_trie,
-                                matches_only=matches_only, indexed=indexed,
-                                automaton=automaton, delivery=delivery,
-                                index=self)
-        return MultiMatcher(self._subscriptions, self._built_trie(),
-                            matches_only=matches_only, indexed=indexed,
-                            delivery=delivery, index=self)
+        automaton = (self._built_automaton()
+                     if resolve_backend(backend) == "dfa" else None)
+        return MultiMatcher(self._subscriptions, matches_only=matches_only,
+                            automaton=automaton, delivery=delivery,
+                            index=self)
 
     def evaluate(self, events: Iterable[Event],
                  matches_only: bool = False,
-                 indexed: bool = True,
                  backend: Optional[str] = None,
                  delivery: Optional[Delivery] = None) -> MultiMatchResult:
         """Match one document stream against every subscription at once."""
-        return self.matcher(matches_only=matches_only,
-                            indexed=indexed, backend=backend,
+        return self.matcher(matches_only=matches_only, backend=backend,
                             delivery=delivery).process(events)
 
     def matching(self, events: Iterable[Event],

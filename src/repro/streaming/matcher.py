@@ -40,7 +40,7 @@ How it works
   before it matches — the node test itself is implied by the bucket.
   Per-event work therefore scales with the expectations that *could* match
   the event, not with all live expectations
-  (``StreamStats.expectations_checked`` vs ``linear_scan_checks``).
+  (``StreamStats.expectations_checked``).
 * Lifecycle transitions are indexed by node id instead of scanned:
   expectations waiting for their anchor to close (``following`` /
   ``following-sibling``) sit in a map keyed by anchor id and enter the
@@ -49,10 +49,10 @@ How it works
   ``following-sibling`` window registers under its anchor's *parent* id and
   is closed when that parent closes.  An :class:`EndElement` therefore pops
   just the affected entries.  Expectations whose continuation can no longer
-  deliver anything useful (an existence sink already satisfied, a trie
-  branch whose subscriptions are all settled) are unlinked *at the moment of
-  satisfaction* through watcher registries rather than re-checked on every
-  event.
+  deliver anything useful (their existence sink is already satisfied — a
+  qualifier witness found, or a verdict-only subscription decided) are
+  unlinked *at the moment of satisfaction* through the sink-watcher registry
+  rather than re-checked on every event.
 * Qualifiers and joins become *conditions* attached to candidate matches.
   Existence qualifiers spawn sub-expectations anchored at the candidate;
   ``==`` joins collect node ids on both sides; ``=`` joins additionally
@@ -67,17 +67,23 @@ How it works
 Reverse axes are rejected: remove them first with
 :func:`repro.rewrite.remove_reverse_axes`.
 
-The machinery is split in two layers so that it can serve both one query and
+One pipeline serves both one query (:class:`StreamingMatcher`) and
 thousands of subscriptions at once (:mod:`repro.streaming.engine`):
 
 * :class:`MatcherCore` owns the event loop, the element stack, the
   expectation lifecycle, conditions, value collection and the shared
-  absolute-sub-path sinks.  What happens when a step matches is delegated to
-  a *continuation* object attached to each expectation.
-* :class:`PathContinuation` is the single-query continuation: continue with
-  the remaining steps of one path into one sink.  The multi-subscription
-  engine plugs in a trie-based continuation instead, advancing a whole
-  bundle of subscriptions that share the matched step.
+  absolute-sub-path sinks.  Each expectation carries a
+  :class:`PathContinuation`: continue with the remaining steps of one path
+  into one sink.
+* Paths enter the core through one door.  With ``backend="dfa"`` the lazy
+  automaton (:mod:`repro.streaming.automaton`) dispatches structure and
+  either *accepts* (a decided match, straight into ``add_candidate``) or
+  fires a *gate*, which spawns the member's remaining steps as expectations
+  — members the automaton cannot carry are gated at the document root.
+  With ``backend="expectations"`` — the differential semantics reference —
+  there is no automaton and every path is spawned whole from the root
+  (:meth:`MatcherCore.spawn_root_expr`): N independent single-query
+  matchers in one core.
 """
 
 from __future__ import annotations
@@ -116,7 +122,6 @@ from repro.xpath.ast import (
     Qualifier,
     Step,
     iter_union_members,
-    union_of,
 )
 from repro.xpath.axes import Axis
 from repro.xpath.serializer import to_string
@@ -336,9 +341,8 @@ _WAITING, _ACTIVE, _EXPIRED = "waiting", "active", "expired"
 class _Expectation:
     """Waiting for future nodes related to ``anchor`` by ``step.axis``.
 
-    What to do with a matching node is delegated to ``cont``, a continuation
-    object (:class:`PathContinuation` or the trie continuation of
-    :mod:`repro.streaming.engine`).
+    What to do with a matching node is delegated to ``cont``, the
+    :class:`PathContinuation` carrying the rest of the path and its sink.
 
     ``serial`` is the engine-wide spawn ordinal, used as the key under which
     the expectation is linked into the dispatch index (``bucket``) and at
@@ -349,7 +353,7 @@ class _Expectation:
     __slots__ = ("step", "cont", "anchor_id", "anchor_depth",
                  "conditions", "state", "serial", "bucket", "watch")
 
-    def __init__(self, step: Step, cont: "Continuation", anchor_id: int,
+    def __init__(self, step: Step, cont: "PathContinuation", anchor_id: int,
                  anchor_depth: int, conditions: Tuple[_Condition, ...],
                  state: str, serial: int = 0):
         self.step = step
@@ -375,52 +379,23 @@ class _Expectation:
         # active window.
         return True
 
-    def matches(self, depth: int, is_element: bool, tag: Optional[str],
-                is_attribute: bool = False) -> bool:
-        return (self.admissible(depth)
-                and _test_matches(self.step, is_element, tag, is_attribute))
-
-
-def _test_matches(step: Step, is_element: bool, tag: Optional[str],
-                  is_attribute: bool = False) -> bool:
-    kind = step.node_test.kind
-    if kind is NodeTestKind.ATTRIBUTE:
-        return is_attribute and (step.node_test.name is None
-                                 or tag == step.node_test.name)
-    if kind is NodeTestKind.NODE:
-        return True
-    if is_attribute:
-        # Attribute nodes satisfy only attribute tests and node().
-        return False
-    if kind is NodeTestKind.TEXT:
-        return not is_element
-    if kind is NodeTestKind.WILDCARD:
-        return is_element
-    return is_element and tag == step.node_test.name
-
 
 class _DispatchIndex:
     """Active expectations bucketed by what their node test can match.
 
     Buckets are insertion-ordered dicts keyed by expectation serial, so
-    removal (expiry) is O(1) and iteration preserves spawn order.  With
-    ``indexed=False`` every expectation lands in the catch-all bucket and the
-    caller re-applies the node test per event — the faithful linear-scan
-    reference the benchmarks compare against.
+    removal (expiry) is O(1) and iteration preserves spawn order.
 
     Attribute-test expectations get buckets of their own (exact-name table
     plus an ``@*`` bucket), consulted only by the per-element attribute sweep
     — never by element or text dispatch — so attribute-heavy subscription
-    sets keep constant-time dispatch.  They are name-bucketed even in
-    ``indexed=False`` mode: the linear-scan reference predates the attribute
-    extension and its counterfactual is defined over tree-node events.
+    sets keep constant-time dispatch.
     """
 
-    __slots__ = ("indexed", "by_tag", "wildcard", "any_node", "text",
+    __slots__ = ("by_tag", "wildcard", "any_node", "text",
                  "by_attr", "attr_wildcard")
 
-    def __init__(self, indexed: bool = True):
-        self.indexed = indexed
+    def __init__(self):
         #: tag -> {serial: expectation} for named node tests.
         self.by_tag: Dict[str, Dict[int, _Expectation]] = {}
         #: ``*`` tests: any element.
@@ -444,8 +419,6 @@ class _DispatchIndex:
                 bucket = self.by_attr.get(name)
                 if bucket is None:
                     bucket = self.by_attr[name] = {}
-        elif not self.indexed:
-            bucket = self.any_node
         elif kind is NodeTestKind.NODE:
             bucket = self.any_node
         elif kind is NodeTestKind.TEXT:
@@ -531,37 +504,18 @@ class _ValueCollector:
 # Continuations: what happens after a step matches
 # ---------------------------------------------------------------------------
 
-class Continuation:
-    """Protocol for expectation continuations.
+class PathContinuation:
+    """Continue one path: match the remaining steps, then feed one sink.
 
-    ``dead(core)`` reports whether the expectation can be dropped because no
-    downstream consumer is still interested (e.g. an existence sink already
-    satisfied); it is consulted once at spawn time.  ``register(core,
-    expectation)`` links a freshly spawned expectation into whatever watcher
-    registry can later kill it, so that satisfaction unlinks it immediately
-    instead of the engine re-checking ``dead`` on every event.
-    ``proceed(core, ...)`` consumes a matched node *after* the step's
-    qualifiers have been turned into conditions.
+    ``dead(core)`` reports whether the expectation can be dropped because
+    the sink is no longer interested (an existence sink already satisfied);
+    it is consulted once at spawn time.  ``register(core, expectation)``
+    links a freshly spawned expectation into the sink-watcher registry, so
+    that satisfaction unlinks it immediately instead of the engine
+    re-checking ``dead`` on every event.  ``proceed(core, ...)`` consumes a
+    matched node *after* the step's qualifiers have been turned into
+    conditions.
     """
-
-    __slots__ = ()
-
-    def dead(self, core: "MatcherCore") -> bool:  # pragma: no cover - abstract
-        raise NotImplementedError
-
-    def register(self, core: "MatcherCore",
-                 expectation: _Expectation) -> None:
-        """Default: liveness never changes, nothing to watch."""
-
-    def proceed(self, core: "MatcherCore", node_id: int, depth: int,
-                is_element: bool, tag: Optional[str], value: Optional[str],
-                conditions: Tuple[_Condition, ...],
-                is_attribute: bool = False) -> None:  # pragma: no cover
-        raise NotImplementedError
-
-
-class PathContinuation(Continuation):
-    """Continue one path: match the remaining steps, then feed one sink."""
 
     __slots__ = ("remaining", "sink", "collect_values")
 
@@ -613,22 +567,21 @@ class MatcherCore:
 
     Owns the element stack, the expectation lifecycle, condition building,
     value collection and the shared absolute-sub-path sinks.  Subclasses
-    decide what is spawned at the document root (one path for
-    :class:`StreamingMatcher`, a subscription trie for
+    decide which paths feed which result sinks (one path for
+    :class:`StreamingMatcher`, one per subscription for
     :class:`repro.streaming.engine.MultiMatcher`) and how results are read
     out.
     """
 
-    def __init__(self, indexed: bool = True) -> None:
+    def __init__(self) -> None:
         self.stats = StreamStats()
-        self._indexed = indexed
         #: Lazy-DFA structural dispatch (``backend="dfa"``): set by
         #: subclasses to an :class:`~repro.streaming.automaton.AutomatonRun`;
         #: ``None`` keeps the pure expectation engine.
         self._automaton_run: Optional[AutomatonRun] = None
         self._stack: List[_OpenElement] = []
         #: Active expectations, bucketed by node test.
-        self._dispatch = _DispatchIndex(indexed=indexed)
+        self._dispatch = _DispatchIndex()
         #: ``following``/``following-sibling`` expectations waiting for their
         #: anchor element to close, keyed by anchor node id.
         self._waiting_by_anchor: Dict[int, List[_Expectation]] = {}
@@ -758,10 +711,10 @@ class MatcherCore:
                              event.attributes)
             if self._tee is not None:
                 # Every element match fires during its own StartElement
-                # processing (trie terminal, DFA accept, gate remainder,
-                # self axis), so the claims recorded just now belong to
-                # exactly this element: open their capture windows before
-                # the event enters the shared buffer.
+                # processing (final-step expectation, DFA accept, gate
+                # remainder, self axis), so the claims recorded just now
+                # belong to exactly this element: open their capture windows
+                # before the event enters the shared buffer.
                 claims = self._pending_claims
                 if claims:
                     self._pending_claims = []
@@ -795,15 +748,19 @@ class MatcherCore:
 
     # -- internals ---------------------------------------------------------
     def _spawn_roots(self, root_id: int) -> None:  # pragma: no cover - abstract
-        """Spawn whatever this matcher evaluates, anchored at the root."""
+        """Reference mode (no automaton): spawn every path this matcher
+        evaluates whole, anchored at the root (:meth:`spawn_root_expr`)."""
         raise NotImplementedError
 
     def _start_document(self, event: StartDocument) -> None:
         self._stack = [_OpenElement(event.node_id, None, 0)]
         self.stats.nodes_seen += 1
-        self._spawn_roots(event.node_id)
         if self._automaton_run is not None:
+            # Root accepts ("/") and root gates (members the automaton
+            # cannot carry) fire here.
             self._automaton_run.on_document_start(self, event.node_id)
+        else:
+            self._spawn_roots(event.node_id)
         # Spawn the shared absolute sub-paths.
         for registry in (self._absolute_sinks, self._absolute_value_sinks):
             for operand, sink in registry.items():
@@ -828,15 +785,8 @@ class MatcherCore:
                     f"(got {to_string(member)})")
             if not member.steps:
                 # The path "/" selects the root itself.
-                was_satisfied = sink.satisfied
-                entry = _Entry(node_id=root_id, conditions=())
-                if sink.add(entry) and sink.collect_values:
-                    # As a value-join operand the root contributes the whole
-                    # document's text (finalized at end of stream).
-                    self._collectors_by_node.setdefault(root_id, []).append(
-                        _ValueCollector(entry, 0))
-                if sink.satisfied and not was_satisfied:
-                    self._sink_satisfied(sink)
+                self.add_candidate(sink, root_id, 0, False, None, (),
+                                   collect_values)
                 continue
             self.spawn_steps(member.steps, anchor_id=root_id,
                              anchor_depth=0, anchor_is_element=False,
@@ -849,7 +799,6 @@ class MatcherCore:
                     attributes: Tuple[Tuple[str, str], ...] = ()) -> None:
         stats = self.stats
         stats.nodes_seen += 1
-        stats.linear_scan_checks += self._live
         depth = len(self._stack)
         # Snapshot the reachable buckets *before* matching: matching may spawn
         # new expectations, which must not be matched against the node that
@@ -860,13 +809,9 @@ class MatcherCore:
             candidates = self._dispatch.text_candidates()
         if candidates:
             stats.expectations_checked += len(candidates)
-            indexed = self._indexed
             for expectation in candidates:
-                if indexed:
-                    # The bucket implies the node test; check state and depth.
-                    if not expectation.admissible(depth):
-                        continue
-                elif not expectation.matches(depth, is_element, tag):
+                # The bucket implies the node test; check state and depth.
+                if not expectation.admissible(depth):
                     continue
                 self._node_matched(expectation.step, expectation.cont,
                                    node_id, depth, is_element, tag, value,
@@ -921,7 +866,6 @@ class MatcherCore:
             stats.attributes_seen += 1
             if not dispatch.has_attribute_expectations:
                 continue
-            stats.linear_scan_checks += self._live
             candidates = dispatch.attribute_candidates(name)
             if not candidates:
                 continue
@@ -960,8 +904,7 @@ class MatcherCore:
                 self._expire(expectation)
         # A following-sibling window closes when the siblings' parent closes;
         # the entries are keyed by that parent's id, so this pops exactly the
-        # affected expectations (the depth comparison the linear scan needed
-        # is implied by the key).
+        # affected expectations (the depth comparison is implied by the key).
         siblings = self._sibling_expiry_by_parent.pop(node_id, None)
         if siblings is not None:
             for expectation in siblings:
@@ -1130,15 +1073,12 @@ class MatcherCore:
                         conditions=conditions,
                         anchor_is_attribute=anchor_is_attribute)
 
-    def spawn_step(self, step: Step, cont: Continuation, anchor_id: int,
+    def spawn_step(self, step: Step, cont: PathContinuation, anchor_id: int,
                    anchor_depth: int, anchor_is_element: bool,
                    anchor_tag: Optional[str], anchor_value: Optional[str],
                    conditions: Tuple[_Condition, ...],
                    anchor_is_attribute: bool = False) -> None:
         """Expect one step from the given anchor, continuing with ``cont``.
-
-        This is the per-step spawning primitive shared by the single-query
-        matcher and the multi-subscription engine.
 
         Invariant relied on for expiry registration: spawning only ever
         happens while the anchor is the node currently being processed (or
@@ -1240,17 +1180,12 @@ class MatcherCore:
             return anchor_is_element
         return anchor_is_element and anchor_tag == step.node_test.name
 
-    def _node_matched(self, step: Step, cont: Continuation, node_id: int,
+    def _node_matched(self, step: Step, cont: PathContinuation, node_id: int,
                       depth: int, is_element: bool, tag: Optional[str],
                       value: Optional[str],
                       inherited: Tuple[_Condition, ...],
                       is_attribute: bool = False) -> None:
-        """A node matched ``step``; evaluate its qualifiers and continue.
-
-        The qualifier conditions are built exactly once per matched node —
-        when the step is shared by many subscriptions (trie continuation),
-        every one of them reuses the same condition objects.
-        """
+        """A node matched ``step``; evaluate its qualifiers and continue."""
         if step.qualifiers:
             conditions = list(inherited)
             for qual in step.qualifiers:
@@ -1304,8 +1239,8 @@ class MatcherCore:
                            is_element: bool, value: Optional[str]) -> None:
         """Record the capture a just-delivered final match is entitled to.
 
-        Every delivery path converges on :meth:`add_candidate` — trie
-        terminals, DFA accepts (structural members included), gate
+        Every delivery path converges on :meth:`add_candidate` — final-step
+        expectations, DFA accepts (structural members included), gate
         remainders and the attribute sweep — so this one hook sees them
         all.  Elements become pending claims (their window opens when the
         current StartElement reaches the tee); text and attribute matches
@@ -1457,33 +1392,27 @@ class StreamingMatcher(MatcherCore):
     ``REPRO_STREAMING_BACKEND`` environment variable, then to ``"dfa"``.
     """
 
-    def __init__(self, path: PathExpr, indexed: bool = True,
-                 backend: Optional[str] = None):
+    def __init__(self, path: PathExpr, backend: Optional[str] = None):
         if analysis.has_reverse_steps(path):
             raise ReverseAxisStreamingError(
                 f"path {to_string(path)} contains reverse axes; rewrite it with "
                 f"repro.rewrite.remove_reverse_axes first")
-        super().__init__(indexed=indexed)
+        super().__init__()
         self.path = path
         self.backend = resolve_backend(backend)
         self._result_sink = _Sink()
         self._register_absolute_subpaths(self.path)
-        self._fallback_expr: Optional[PathExpr] = self.path
         if self.backend == "dfa":
-            automaton, fallback = compile_subscription_automaton(
-                [(0, self.path)])
-            members = fallback.get(0, ())
-            self._fallback_expr = (union_of(*members) if members else None)
-            self._automaton_run = AutomatonRun(automaton,
-                                               self._structural_sink)
+            self._automaton_run = AutomatonRun(
+                compile_subscription_automaton([(0, self.path)]),
+                self._structural_sink)
 
     def _structural_sink(self, ordinal: int) -> _Sink:
         return self._result_sink
 
     def _spawn_roots(self, root_id: int) -> None:
-        if self._fallback_expr is not None:
-            self.spawn_root_expr(self._fallback_expr, self._result_sink,
-                                 collect_values=False, root_id=root_id)
+        self.spawn_root_expr(self.path, self._result_sink,
+                             collect_values=False, root_id=root_id)
 
     def reset(self) -> None:
         super().reset()

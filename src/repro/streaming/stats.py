@@ -44,10 +44,6 @@ class StreamStats:
     #: only the buckets a node can match are consulted; this counter is the
     #: per-event cost the index is built to shrink.
     expectations_checked: int = 0
-    #: Expectations a per-event linear scan would have examined instead
-    #: (live expectations summed over node start events) — the counterfactual
-    #: cost of the pre-index engine, kept for the benchmark trajectory.
-    linear_scan_checks: int = 0
     #: Lazy-DFA backend: distinct automaton states materialized *during this
     #: run* (a warm transition table materializes none; see
     #: :mod:`repro.streaming.automaton`).
@@ -103,7 +99,6 @@ class StreamStats:
             "candidates_buffered": self.candidates_buffered,
             "max_live_expectations": self.max_live_expectations,
             "expectations_checked": self.expectations_checked,
-            "linear_scan_checks": self.linear_scan_checks,
             "dfa_states_materialized": self.dfa_states_materialized,
             "transition_cache_lookups": self.transition_cache_lookups,
             "transition_cache_hits": self.transition_cache_hits,

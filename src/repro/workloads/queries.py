@@ -143,7 +143,7 @@ def mixed_reverse_path(length: int, seed: int = 11,
 #: Shared subscription prefixes of the SDI workload.  Every generated
 #: subscription starts with one of these, so a batch of ``count``
 #: subscriptions collapses onto at most ``len(SUBSCRIPTION_PREFIXES)``
-#: leading-step chains in the shared trie.
+#: distinct leading-step chains.
 SUBSCRIPTION_PREFIXES = (
     "/descendant::journal",
     "/descendant::journal/child::article",
@@ -168,7 +168,7 @@ def subscription_workload(count: int, seed: int = 7,
     probability ``reverse_probability`` a reverse step (``parent`` or
     ``ancestor``) that the subscription index removes by rewriting.  The
     result models a subscriber population whose queries cluster on popular
-    document regions, the case where shared-trie matching pays off.
+    document regions, the case where shared-structure matching pays off.
     """
     if count < 1:
         raise ValueError("need at least one subscription")
@@ -204,13 +204,14 @@ def low_overlap_tags(tag_count: int = 48) -> Tuple[str, ...]:
 def low_overlap_workload(count: int, seed: int = 7,
                          tags: Optional[Sequence[str]] = None,
                          qualifier_probability: float = 0.25) -> List[str]:
-    """Subscriptions with almost no shared leading steps (anti-trie workload).
+    """Subscriptions with almost no shared leading steps (anti-sharing
+    workload).
 
-    Each subscription roots at a different tag of a wide vocabulary, so the
-    prefix trie degenerates to one branch per subscription and per-event cost
-    is dominated by how many expectations a node event has to be checked
-    against.  This is the workload where tag-indexed expectation dispatch
-    pays off the most — and where a linear scan is at its worst.
+    Each subscription roots at a different tag of a wide vocabulary, so
+    prefix sharing degenerates to one branch per subscription and per-event
+    cost is dominated by how many subscriptions a node event has to be
+    checked against.  This is the workload where tag-keyed dispatch (the
+    automaton's transition table, the expectation buckets) pays off the most.
     """
     if count < 1:
         raise ValueError("need at least one subscription")

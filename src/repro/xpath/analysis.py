@@ -546,10 +546,9 @@ def is_structurally_decided(path: PathExpr) -> bool:
 def spine_sequences(path: PathExpr) -> List[Tuple[Step, ...]]:
     """The spine step sequences of every union member, in order.
 
-    ``⊥`` contributes no sequence (it matches nothing).  Each sequence is a
-    chain that the multi-subscription engine inserts into its prefix trie;
-    two subscriptions share matching state exactly on the common prefixes of
-    these sequences.
+    ``⊥`` contributes no sequence (it matches nothing).  The sharing
+    analysis below (:func:`prefix_sharing_summary`) counts the common
+    prefixes of these sequences.
     """
     if isinstance(path, (Bottom, Literal)):
         return []
@@ -566,8 +565,7 @@ def spine_sequences(path: PathExpr) -> List[Tuple[Step, ...]]:
 def common_spine_prefix(paths: Iterable[PathExpr]) -> Tuple[Step, ...]:
     """Longest step prefix shared by *every* union member of every path.
 
-    Steps compare structurally (axis, node test and qualifiers), matching
-    the sharing criterion of the subscription trie.
+    Steps compare structurally (axis, node test and qualifiers).
     """
     sequences: List[Tuple[Step, ...]] = []
     for path in paths:
@@ -591,13 +589,12 @@ def prefix_sharing_summary(paths: Iterable[PathExpr]) -> dict:
 
     Returns the total number of spine steps across all paths, the number of
     distinct step prefixes (the node count of a prefix trie over the batch),
-    and the number of steps saved by sharing.  Used by
-    :class:`repro.streaming.engine.SubscriptionIndex` to report how much
-    per-event work the shared trie avoids.  Under live churn the index
-    feeds this the *surviving* subscriptions only, so the ratio always
-    describes the set actually being matched — retired ordinals awaiting
-    ``vacuum()`` contribute nothing, even though their trie nodes linger
-    until compaction.
+    and the number of steps saved by sharing.  A workload statistic:
+    :meth:`repro.streaming.engine.SubscriptionIndex.sharing_summary`
+    reports it for the *surviving* subscriptions (retired ordinals awaiting
+    ``vacuum()`` contribute nothing).  The engine itself shares structure
+    in its automaton, whose NFA merges qualifier-free spine prefixes — not
+    in a trie over these qualifier-carrying steps.
     """
     total_steps = 0
     prefixes = set()

@@ -18,17 +18,15 @@ from repro.bench.regression import (
 
 
 def artifact(events_per_sec, subscriptions=1000, extra_scales=(),
-             dfa_events_per_sec=None, substream_events_per_sec=None):
-    scales = [{"subscriptions": 10, "events_per_sec_indexed": 99999}]
+             expectations_events_per_sec=2000,
+             substream_events_per_sec=None):
+    scales = [{"subscriptions": 10, "events_per_sec_dfa": 99999}]
     scales.extend(extra_scales)
     scales.append({"subscriptions": subscriptions,
-                   "events_per_sec_indexed": events_per_sec})
-    if dfa_events_per_sec is None:
-        dfa_events_per_sec = events_per_sec
-    data = {"multi_query_sdi": {"scales": scales},
-            "automaton_sdi": {"scales": [
-                {"subscriptions": subscriptions,
-                 "events_per_sec_dfa": dfa_events_per_sec}]}}
+                   "events_per_sec_dfa": events_per_sec,
+                   # The reference mode's column: recorded, never gated.
+                   "events_per_sec_expectations": expectations_events_per_sec})
+    data = {"automaton_sdi": {"scales": scales}}
     if substream_events_per_sec is not None:
         data["substream_extraction"] = {"scales": [
             {"subscriptions": subscriptions,
@@ -45,13 +43,13 @@ class TestExtract:
             extract_events_per_sec({"other_section": {}})
 
     def test_missing_scale_fails_loudly(self):
-        data = {"multi_query_sdi": {"scales": [
-            {"subscriptions": 10, "events_per_sec_indexed": 1}]}}
+        data = {"automaton_sdi": {"scales": [
+            {"subscriptions": 10, "events_per_sec_dfa": 1}]}}
         with pytest.raises(RegressionGateError):
             extract_events_per_sec(data)
 
     def test_missing_metric_fails_loudly(self):
-        data = {"multi_query_sdi": {"scales": [{"subscriptions": 1000}]}}
+        data = {"automaton_sdi": {"scales": [{"subscriptions": 1000}]}}
         with pytest.raises(RegressionGateError):
             extract_events_per_sec(data)
 
@@ -88,29 +86,32 @@ class TestCheckRegression:
         assert DEFAULT_TOLERANCE == 0.25
 
 
-class TestMultiGate:
-    def test_gates_cover_both_backends(self):
-        assert ("multi_query_sdi", "events_per_sec_indexed") in GATES
-        assert ("automaton_sdi", "events_per_sec_dfa") in GATES
+class TestGateTable:
+    def test_only_the_default_backend_is_gated(self):
+        assert GATES == (("automaton_sdi", "events_per_sec_dfa"),)
 
     def test_check_all_gates_reports_per_gate(self):
-        reports = check_all_gates(artifact(2000, dfa_events_per_sec=400000),
-                                  artifact(2000, dfa_events_per_sec=400000))
+        reports = check_all_gates(artifact(400000), artifact(400000))
         assert len(reports) == len(GATES)
         assert all(report.ok for report in reports)
 
-    def test_dfa_regression_fails_even_when_indexed_holds(self):
-        reports = check_all_gates(artifact(2000, dfa_events_per_sec=400000),
-                                  artifact(2000, dfa_events_per_sec=100000))
-        by_section = {report.section: report for report in reports}
-        assert by_section["multi_query_sdi"].ok
-        assert not by_section["automaton_sdi"].ok
-        assert "automaton_sdi" in by_section["automaton_sdi"].describe()
+    def test_dfa_regression_fails_whatever_the_reference_column_does(self):
+        (report,) = check_all_gates(
+            artifact(400000, expectations_events_per_sec=2000),
+            artifact(100000, expectations_events_per_sec=9000))
+        assert not report.ok
+        assert "automaton_sdi" in report.describe()
+
+    def test_reference_column_is_not_gated(self):
+        (report,) = check_all_gates(
+            artifact(400000, expectations_events_per_sec=2000),
+            artifact(400000, expectations_events_per_sec=1))
+        assert report.ok
 
     def test_missing_dfa_section_fails_loudly(self):
         with pytest.raises(RegressionGateError):
-            check_all_gates({"multi_query_sdi": {"scales": [
-                {"subscriptions": 1000, "events_per_sec_indexed": 1}]}},
+            check_all_gates({"substream_extraction": {"scales": [
+                {"subscriptions": 1000, "events_per_sec_substream": 1}]}},
                 artifact(1))
 
 
@@ -157,10 +158,10 @@ class TestMain:
         assert "REGRESSION" in capsys.readouterr().out
 
     def test_dfa_regression_alone_fails_the_gate(self, tmp_path, capsys):
-        base = self.write(tmp_path, "base.json",
-                          artifact(2000, dfa_events_per_sec=400000))
-        fresh = self.write(tmp_path, "fresh.json",
-                           artifact(2000, dfa_events_per_sec=100000))
+        base = self.write(tmp_path, "base.json", artifact(
+            400000, substream_events_per_sec=80000))
+        fresh = self.write(tmp_path, "fresh.json", artifact(
+            100000, substream_events_per_sec=80000))
         assert main([base, fresh]) == 1
         out = capsys.readouterr().out
         assert "OK" in out and "REGRESSION" in out

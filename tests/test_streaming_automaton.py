@@ -75,6 +75,14 @@ DOS_CHAIN_64 = "/descendant-or-self::a" * 64
 DOS_CHAIN_65 = "/descendant-or-self::a" * 65
 
 
+def root_gates(automaton):
+    """Unqualified gates on NFA state 0: the members handed whole to the
+    expectation engine at document start because the automaton cannot carry
+    them.  (A qualified gate there is an ordinary hand-off whose prefix
+    folded into the root, e.g. ``/self::node()[...]``.)"""
+    return [gate for gate in automaton._nfa[0].gates if not gate.qualifiers]
+
+
 class TestSpineClassification:
     @pytest.mark.parametrize("query, decided", [
         ("/descendant::a/child::b", True),
@@ -91,8 +99,8 @@ class TestSpineClassification:
         ("//a" * 8, True),
         ("/descendant::a[child::b]", False),
         # Alternative explosion (named descendant-or-self chains past the
-        # cap): compiled by the fallback engine, so not decided by DFA
-        # accept sets — the classifier mirrors the compiler.
+        # cap): handed to the expectation engine at a root gate, so not
+        # decided by DFA accept sets — the classifier mirrors the compiler.
         (DOS_CHAIN_64, True),
         (DOS_CHAIN_65, False),
     ])
@@ -117,7 +125,7 @@ class TestSpineClassification:
         assert analysis.is_automaton_compilable(
             parse_xpath("/following::a"))
         assert analysis.is_automaton_compilable(parse_xpath("//a" * 8))
-        # Boundary of the alternative cap: 64 compiles, 65 falls back.
+        # Boundary of the alternative cap: 64 compiles, 65 is root-gated.
         assert analysis.is_automaton_compilable(parse_xpath(DOS_CHAIN_64))
         assert not analysis.is_automaton_compilable(parse_xpath(DOS_CHAIN_65))
 
@@ -143,22 +151,23 @@ class TestSpineClassification:
             parse_xpath("//a" * 8).steps)) == 1
 
     def test_classifiers_agree_with_the_compiler(self):
-        # is_automaton_compilable must predict the fallback partition
-        # exactly — they share one kernel in repro.xpath.analysis.
+        # is_automaton_compilable must predict the root gates exactly —
+        # they share one kernel in repro.xpath.analysis.
         from repro.workloads.queries import differential_query_pool
         from repro.xpath.ast import Bottom, iter_union_members
         queries = differential_query_pool(60, seed=21) + [
             "//a" * 8, "/following::a", "/a/following::b", "/",
+            DOS_CHAIN_65, f"/a | {DOS_CHAIN_65}",
         ]
         for query in queries:
             path = parse_xpath(query)
-            _automaton, fallback = compile_subscription_automaton([(0, path)])
-            fallen = {m for m in fallback.get(0, ())}
+            automaton = compile_subscription_automaton([(0, path)])
+            gated = {gate.remaining for gate in root_gates(automaton)}
             for member in iter_union_members(path):
                 if isinstance(member, Bottom):
                     continue
                 assert analysis.is_automaton_compilable(member) \
-                    == (member not in fallen), query
+                    == (member.steps not in gated), query
 
     def test_supported_axes_are_all_forward_axes(self):
         assert Axis.FOLLOWING in analysis.AUTOMATON_SPINE_AXES
@@ -170,35 +179,41 @@ class TestSpineClassification:
 
 class TestCompilation:
     def test_window_spines_no_longer_fall_back(self):
-        automaton, fallback = compile_subscription_automaton([
+        automaton = compile_subscription_automaton([
             (0, parse_xpath("/descendant::a")),
             (1, parse_xpath("/following::a")),
             (2, parse_xpath("/a | /following-sibling::b")),
             (3, parse_xpath("//a" * 8)),
         ])
-        assert fallback == {}
+        assert root_gates(automaton) == []
         assert automaton.has_window_rules
         assert automaton.state_count() >= 2  # dead + start
 
     def test_fallback_partition(self):
-        automaton, fallback = compile_subscription_automaton([
+        exploding = parse_xpath(DOS_CHAIN_65)
+        automaton = compile_subscription_automaton([
             (0, parse_xpath("/descendant::a")),
-            (1, parse_xpath(DOS_CHAIN_65)),
+            (1, exploding),
             (2, parse_xpath(f"/a | {DOS_CHAIN_65}")),
         ])
-        assert 0 not in fallback
-        assert [str(type(m).__name__) for m in fallback[1]] == ["LocationPath"]
-        # Only the exploding member of the union falls back.
-        assert len(fallback[2]) == 1
+        # Only the exploding members are gated at the root, whole and
+        # unqualified; everything else compiles into the automaton.
+        assert [(gate.ordinal, gate.qualifiers, gate.remaining)
+                for gate in root_gates(automaton)] == [
+            (1, (), exploding.steps), (2, (), exploding.steps)]
+        assert list(automaton.accepts(automaton.start_state)[1]) \
+            == root_gates(automaton)
         assert automaton.state_count() >= 2  # dead + start
 
     def test_alternative_explosion_falls_back(self):
         # Named descendant-or-self chains fork a shared-prefix alternative
         # per step; past the limit the member routes to the expectation
-        # engine — and both backends still agree.
-        _automaton, fallback = compile_subscription_automaton(
+        # engine through a root gate — and both backends still agree.
+        automaton = compile_subscription_automaton(
             [(0, parse_xpath(DOS_CHAIN_65))])
-        assert 0 in fallback
+        assert [gate.ordinal for gate in root_gates(automaton)] == [0]
+        assert root_gates(compile_subscription_automaton(
+            [(0, parse_xpath(DOS_CHAIN_64))])) == []
         document = Document.from_tree(
             element("a", element("a", element("a"))))
         events = list(document_events(document))
@@ -211,18 +226,18 @@ class TestCompilation:
         # The 64 alternatives of the dos-chain share prefixes pairwise; the
         # builder memoizes (state, item) pairs, so the NFA stays linear in
         # the spine length instead of quadratic in the alternative count.
-        automaton, fallback = compile_subscription_automaton(
+        automaton = compile_subscription_automaton(
             [(0, parse_xpath(DOS_CHAIN_64))])
-        assert fallback == {}
+        assert root_gates(automaton) == []
         assert automaton.describe()["nfa_states"] < 4 * 64
 
     def test_union_members_share_spine_prefixes(self):
         # Ten members over one spine prefix thread through one fragment
         # with per-member accept tags instead of ten parallel chains.
         shared = compile_subscription_automaton(
-            [(i, parse_xpath(f"/db/journal/t{i}")) for i in range(10)])[0]
+            [(i, parse_xpath(f"/db/journal/t{i}")) for i in range(10)])
         lone = compile_subscription_automaton(
-            [(0, parse_xpath("/db/journal/t0"))])[0]
+            [(0, parse_xpath("/db/journal/t0"))])
         per_member = (shared.describe()["nfa_states"]
                       - lone.describe()["nfa_states"])
         # Each extra member may only add its distinguishing final state.
@@ -233,10 +248,10 @@ class TestCompilation:
             compile_subscription_automaton([(0, parse_xpath("child::a"))])
 
     def test_impossible_spines_compile_to_nothing(self):
-        # text() has no children: nothing to match, nothing to fall back to.
-        automaton, fallback = compile_subscription_automaton(
+        # text() has no children: nothing to match, nothing to gate.
+        automaton = compile_subscription_automaton(
             [(0, parse_xpath("/child::text()/child::a"))])
-        assert fallback == {}
+        assert root_gates(automaton) == []
         document = Document.from_tree(element("a", text("x"), element("a")))
         result = stream_evaluate("/child::text()/child::a",
                                  document_events(document), backend="dfa")
@@ -495,14 +510,14 @@ class TestSiblingWindows:
 
     def test_first_step_window_members_run_without_wholesale_fallback(self):
         # Acceptance criterion: first-step following/following-sibling
-        # members and deep //-windows compile — the fallback trie is empty.
+        # members and deep //-windows compile — nothing is gated at the root.
         from repro.workloads.queries import differential_query_pool
         pool = differential_query_pool(120, seed=3)
         assert any("following" in query for query in pool)
-        _automaton, fallback = compile_subscription_automaton(
+        automaton = compile_subscription_automaton(
             [(ordinal, parse_xpath(query))
              for ordinal, query in enumerate(pool)])
-        assert fallback == {}
+        assert root_gates(automaton) == []
 
     def test_window_queries_leave_no_expectation_residue(self):
         index = SubscriptionIndex({0: "//a/following::b",

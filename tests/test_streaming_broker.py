@@ -155,14 +155,25 @@ class TestSessionReuse:
         broker.submit("b", "<journal><name>n</name></journal>")
         assert broker.session is session
 
-    def test_adding_a_subscription_rebuilds_the_session(self):
-        broker = DocumentBroker({"names": "/descendant::name"})
-        broker.submit("a", "<journal><name>n</name></journal>")
+    def test_adding_a_subscription_keeps_the_session(self, backend):
+        # add()/add_many() update the index incrementally and the warm
+        # session syncs at the next checkout, exactly like subscribe().
+        document = "<journal><title>t</title><name>n</name></journal>"
+        broker = DocumentBroker({"names": "/descendant::name"},
+                                backend=backend)
+        broker.submit("a", document)
         session = broker.session
         broker.add("/descendant::title", key="titles")
-        result = broker.submit("b", "<journal><title>t</title></journal>")
-        assert broker.session is not session
-        assert result["titles"].matched
+        broker.add_many({"journals": "/child::journal"})
+        result = broker.submit("b", document)
+        assert broker.session is session
+        fresh = DocumentBroker({"names": "/descendant::name",
+                                "titles": "/descendant::title",
+                                "journals": "/child::journal"},
+                               backend=backend).submit("b", document)
+        assert [(r.key, r.matched, r.node_ids) for r in result] \
+            == [(r.key, r.matched, r.node_ids) for r in fresh]
+        assert result["titles"].matched and result["journals"].matched
 
     def test_externally_supplied_index_cannot_be_mutated_through_broker(self):
         # A caller-supplied index may be shared with other brokers, which

@@ -11,6 +11,7 @@ parameters, payload accounting, the ``history_limit=0`` retention edge).
 
 import pytest
 
+from repro.semantics.evaluator import select_positions
 from repro.streaming import (
     DocumentBroker,
     NodeIdDelivery,
@@ -22,8 +23,10 @@ from repro.streaming.delivery import SubtreeTee, resolve_delivery
 from repro.xmlmodel.builder import document_events
 from repro.xmlmodel.document import Document, element, text
 from repro.xmlmodel.events import EndElement, StartElement, Text
+from repro.xmlmodel.parser import iter_events, parse_xml
 from repro.xmlmodel.serialize import escape_text, to_xml
 from repro.xmlmodel.stream_serialize import serialize_events
+from repro.xpath.parser import parse_xpath
 
 BACKENDS = ("dfa", "expectations")
 
@@ -270,7 +273,6 @@ class TestFlushMidCapture:
         xml = ("<root><wrap>"
                + "".join(f"<t{i}>x{i}</t{i}>" for i in range(self.N_TAGS))
                + "</wrap></root>")
-        from repro.xmlmodel.parser import iter_events
         events = list(iter_events(xml))
         subscriptions = {f"s{i}": f"//t{i}" for i in range(self.N_TAGS)}
         # The ancestor capture: its window spans every flush below.
@@ -406,3 +408,63 @@ class TestBrokerDelivery:
             broker.submit(f"doc-{number}", self._chunks(_catalogue()))
         assert [record.document_id for record in broker.history] == \
                [f"doc-{number}" for number in range(5)]
+
+
+#: Named descendant-or-self chains past the automaton's alternative cap
+#: (see tests/test_streaming_automaton.py): the automaton cannot carry such
+#: a member and hands it whole to the expectation engine at a root gate.
+DOS_CHAIN_65 = "/descendant-or-self::a" * 65
+
+
+class TestExplosionMembersThroughTheServingPath:
+    """Members past the alternative cap, served by a churning broker: every
+    delivery mode on both backends must equal the DOM evaluator."""
+
+    DOCUMENTS = (
+        "<a><a><b>x</b></a><a><c/></a><b/></a>",
+        "<r><a><c><a><b>y</b></a></c></a><a/><b/></r>",
+        "<a><c><a><b/></a></c><b>z</b></a>",
+    )
+
+    def _check(self, broker, mode, name, text, queries):
+        result = broker.submit(name, text)
+        document = parse_xml(text)
+        events = list(iter_events(text))
+        assert sorted(r.key for r in result) == sorted(queries)
+        for key, query in queries.items():
+            expected = select_positions(parse_xpath(query), document)
+            assert result[key].matched == bool(expected), (name, key)
+            if mode == "verdict":
+                continue
+            assert result[key].node_ids == expected, (name, key)
+            if mode == "substream":
+                assert result[key].payload == _expected_payload(
+                    events, expected), (name, key)
+        sizes = broker.session.registry_sizes()
+        assert all(size == 0 for size in sizes.values()), (name, sizes)
+
+    @pytest.mark.parametrize("mode", ["verdict", "ids", "substream"])
+    @pytest.mark.parametrize("backend", BACKENDS)
+    def test_results_equal_dom_across_churn(self, backend, mode):
+        delivery = {"verdict": VerdictDelivery, "ids": NodeIdDelivery,
+                    "substream": SubstreamDelivery}[mode]()
+        queries = {
+            "chain": DOS_CHAIN_65,
+            "union": f"/a | {DOS_CHAIN_65}",
+            "qualified": f"{DOS_CHAIN_65}[child::b]",
+            "plain": "//b",
+        }
+        broker = DocumentBroker(SubscriptionIndex(dict(queries)),
+                                backend=backend, delivery=delivery)
+        first, second, third = self.DOCUMENTS
+        self._check(broker, mode, "first", first, queries)
+        session = broker.session
+        broker.unsubscribe("chain")
+        del queries["chain"]
+        self._check(broker, mode, "second", second, queries)
+        queries["rechained"] = f"{DOS_CHAIN_65}/child::b"
+        broker.subscribe("rechained", queries["rechained"])
+        self._check(broker, mode, "third", third, queries)
+        # Served by one warm session throughout: no rebuild, no vacuum.
+        assert broker.session is session
+        assert broker.index.churn.vacuum_runs == 0

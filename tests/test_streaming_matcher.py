@@ -3,7 +3,7 @@
 import pytest
 
 from repro.errors import ReverseAxisStreamingError, StreamingError
-from repro.streaming import stream_evaluate, stream_matches
+from repro.streaming import dom_evaluate, stream_evaluate, stream_matches
 from repro.streaming.matcher import StreamingMatcher
 from repro.xmlmodel.builder import document_events
 from repro.xmlmodel.parser import iter_events
@@ -158,20 +158,10 @@ class TestDispatchIndex:
     )
 
     @pytest.mark.parametrize("query", QUERIES)
-    def test_linear_scan_reference_agrees(self, figure1, query):
+    def test_dispatch_agrees_with_dom(self, figure1, query):
         events = list(document_events(figure1))
-        indexed = StreamingMatcher(parse_xpath(query))
-        linear = StreamingMatcher(parse_xpath(query), indexed=False)
-        assert indexed.process(events) == linear.process(events)
-
-    def test_index_checks_no_more_than_a_linear_scan(self, catalogue):
-        events = list(document_events(catalogue))
-        matcher = StreamingMatcher(
-            parse_xpath("/descendant::journal/child::editor"),
-            backend="expectations")
-        matcher.process(events)
-        stats = matcher.stats
-        assert 0 < stats.expectations_checked <= stats.linear_scan_checks
+        matcher = StreamingMatcher(parse_xpath(query), backend="expectations")
+        assert matcher.process(events) == dom_evaluate(query, events).node_ids
 
     def test_named_tests_skip_unrelated_tags(self, catalogue):
         # A single named-test step is only ever checked against elements of

@@ -117,8 +117,6 @@ def assert_internally_consistent(stats, total_events=None):
     assert stats.dfa_states_materialized <= max(
         1, stats.transition_cache_lookups)
     assert stats.max_live_expectations <= stats.expectations_created
-    # Indexed dispatch consults no more expectations than a linear scan.
-    assert stats.expectations_checked <= stats.linear_scan_checks
     if total_events is not None:
         assert stats.events_skipped <= total_events
         assert stats.events + stats.events_skipped == total_events

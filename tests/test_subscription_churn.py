@@ -37,7 +37,7 @@ class TestIncrementalAdd:
         index = _index()
         events = _document()
         index.evaluate(events, backend="dfa")  # warm the automaton
-        automaton = index._automaton_parts[0]
+        automaton = index._automaton
         for i in range(5):
             index.add_subscription(f"extra{i}", f"//t{i}/inner")
         churn = index.churn
@@ -46,7 +46,7 @@ class TestIncrementalAdd:
         assert churn.full_flushes == 0
         assert churn.vacuum_runs == 0
         # The world was not recompiled: same automaton object, no parts drop.
-        assert index._automaton_parts[0] is automaton
+        assert index._automaton is automaton
 
     def test_warm_transitions_of_untouched_states_survive(self):
         index = _index()
@@ -90,12 +90,12 @@ class TestRetirementAndVacuum:
         index = _index()
         events = _document()
         index.evaluate(events, backend="dfa")
-        automaton = index._automaton_parts[0]
+        automaton = index._automaton
         removed = int(N * index._vacuum_ratio) - 1
         for i in range(removed):
             index.remove_subscription(f"s{i}")
         assert index.churn.vacuum_runs == 0
-        assert index._automaton_parts[0] is automaton
+        assert index._automaton is automaton
         assert len(index) == N - removed
         assert index.retired_count == removed
         result = index.evaluate(events)
@@ -212,7 +212,7 @@ class TestChurnStatsPlumbing:
         index = _index()
         index.evaluate(_document(), backend="dfa")
         index.add_subscription("extra", "//t0/inner")
-        description = index._automaton_parts[0].describe()
+        description = index._automaton.describe()
         assert description["targeted_invalidations"] == 1
         assert description["full_invalidations"] == 0
 
