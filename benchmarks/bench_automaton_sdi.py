@@ -35,7 +35,7 @@ from repro.bench.reporting import (
     artifact_path,
     update_bench_artifact,
 )
-from repro.streaming import SubscriptionIndex
+from repro.streaming import SubscriptionIndex, VerdictDelivery
 from repro.workloads.queries import low_overlap_workload
 from repro.xmlmodel.builder import document_events
 from repro.xmlmodel.generator import tagged_sections_document
@@ -66,7 +66,7 @@ def _timed_run(index, backend):
     best = float("inf")
     result = matcher = None
     for _ in range(REPEATS):
-        candidate = index.matcher(matches_only=True, backend=backend)
+        candidate = index.matcher(delivery=VerdictDelivery(), backend=backend)
         start = time.perf_counter()
         outcome = candidate.process(EVENTS)
         elapsed = time.perf_counter() - start
@@ -80,7 +80,7 @@ def _bench(count, report):
     events = len(EVENTS)
 
     # Cold: the very first document through a fresh automaton.
-    cold_matcher = index.matcher(matches_only=True, backend="dfa")
+    cold_matcher = index.matcher(delivery=VerdictDelivery(), backend="dfa")
     start = time.perf_counter()
     cold_result = cold_matcher.process(EVENTS)
     cold_time = time.perf_counter() - start

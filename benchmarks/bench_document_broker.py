@@ -34,7 +34,11 @@ from repro.bench.reporting import (
     artifact_path,
     update_bench_artifact,
 )
-from repro.streaming import DocumentBroker, SubscriptionIndex
+from repro.streaming import (
+    DocumentBroker,
+    SubscriptionIndex,
+    VerdictDelivery,
+)
 from repro.workloads.queries import low_overlap_workload
 from repro.xmlmodel.generator import tagged_sections_document
 from repro.xmlmodel.parser import iter_events
@@ -71,7 +75,7 @@ def _build_index(count):
 
 
 def _broker_run(index, feed):
-    broker = DocumentBroker(index, matches_only=True)
+    broker = DocumentBroker(index, delivery=VerdictDelivery())
     start = time.perf_counter()
     verdicts = [broker.submit(document_id, chunks).matching_keys
                 for document_id, _, chunks in feed]
@@ -83,7 +87,7 @@ def _fresh_matcher_run(index, feed):
     start = time.perf_counter()
     verdicts = []
     for _, text, _ in feed:
-        matcher = index.matcher(matches_only=True)
+        matcher = index.matcher(delivery=VerdictDelivery())
         verdicts.append(matcher.process(list(iter_events(text))).matching_keys)
     elapsed = time.perf_counter() - start
     return verdicts, elapsed

@@ -35,7 +35,7 @@ from repro.bench.reporting import (
     artifact_path,
     update_bench_artifact,
 )
-from repro.streaming import SubscriptionIndex
+from repro.streaming import SubscriptionIndex, VerdictDelivery
 from repro.workloads.queries import low_overlap_workload
 from repro.xmlmodel.builder import document_events
 from repro.xmlmodel.generator import tagged_sections_document
@@ -67,14 +67,14 @@ def _build_index(count, pool):
                                for position in range(count)})
     # Compile and warm outside any timed region: churn is measured against
     # the *steady state* of a long-lived index, not against cold start.
-    index.matcher(matches_only=True).process(EVENTS)
+    index.matcher(delivery=VerdictDelivery()).process(EVENTS)
     return index
 
 
 def _warm_pass_time(index):
     best = float("inf")
     for _ in range(DOCUMENTS_PER_RATE + 1):
-        matcher = index.matcher(matches_only=True)
+        matcher = index.matcher(delivery=VerdictDelivery())
         start = time.perf_counter()
         matcher.process(EVENTS)
         best = min(best, time.perf_counter() - start)
@@ -105,7 +105,7 @@ def _churned_feed(count, pool, rate):
             next_victim += 1
             ops += 2
         churning += time.perf_counter() - start
-        matcher = index.matcher(matches_only=True)
+        matcher = index.matcher(delivery=VerdictDelivery())
         start = time.perf_counter()
         matcher.process(EVENTS)
         matching += time.perf_counter() - start
@@ -118,8 +118,8 @@ def _verify_against_fresh(index):
     survivors = {subscription.key: subscription.source
                  for subscription in index.subscriptions}
     fresh = SubscriptionIndex(survivors)
-    churned = index.evaluate(EVENTS, matches_only=True)
-    reference = fresh.evaluate(EVENTS, matches_only=True)
+    churned = index.evaluate(EVENTS, delivery=VerdictDelivery())
+    reference = fresh.evaluate(EVENTS, delivery=VerdictDelivery())
     assert sorted(churned.matching_keys, key=str) \
         == sorted(reference.matching_keys, key=str)
 
@@ -136,7 +136,7 @@ def _bench(count, report):
     start = time.perf_counter()
     recompiled = SubscriptionIndex({position: pool[position]
                                     for position in range(count)})
-    recompiled.matcher(matches_only=True).process(EVENTS)
+    recompiled.matcher(delivery=VerdictDelivery()).process(EVENTS)
     recompile_seconds = time.perf_counter() - start
 
     table = Table(

@@ -34,6 +34,8 @@ sys.path.insert(0, os.path.join(os.path.dirname(__file__), "..", "src"))
 from repro import (  # noqa: E402
     DocumentBroker,
     SubscriptionIndex,
+    SubstreamDelivery,
+    VerdictDelivery,
     compile_cache_info,
     document_events,
     journal_document,
@@ -92,7 +94,7 @@ def main() -> None:
     print("Routing the incoming feed (documents arrive as raw XML text in")
     print(f"{CHUNK_SIZE}-byte chunks; ONE reused engine session, ONE streaming")
     print("pass per document, all subscriptions advanced together):")
-    broker = DocumentBroker(index, matches_only=True)
+    broker = DocumentBroker(index, delivery=VerdictDelivery())
     for name, document in DOCUMENTS.items():
         xml_text = to_xml(document, indent=0)
         chunks = [xml_text[start:start + CHUNK_SIZE]
@@ -146,9 +148,9 @@ def main() -> None:
     # independently from the root, per-event cost scaling with the live
     # expectations an event could match — handy when bisecting a suspected
     # automaton bug.
-    dfa_matcher = index.matcher(matches_only=True, backend="dfa")
+    dfa_matcher = index.matcher(delivery=VerdictDelivery(), backend="dfa")
     dfa_matcher.process(events)
-    dfa_again = index.matcher(matches_only=True, backend="dfa")
+    dfa_again = index.matcher(delivery=VerdictDelivery(), backend="dfa")
     dfa_again.process(events)
     print(f"Lazy-DFA backend on the same document: "
           f"{dfa_matcher.dfa_state_count()} DFA states materialized, "
@@ -161,7 +163,7 @@ def main() -> None:
     print()
 
     # Substream delivery: route the matched *content*, not just the verdict.
-    # The broker's on_payload callback fires per match as the matched
+    # The delivery's on_payload callback fires per match as the matched
     # subtree closes, with that subtree re-serialized to XML bytes — here
     # each subscriber's mailbox collects its payload fragments.  Overlapping
     # matches (a journal and the titles inside it) share one capture buffer
@@ -170,8 +172,8 @@ def main() -> None:
     print("subscription as matched subtrees close):")
     mailboxes = {subscriber: [] for subscriber in SUBSCRIPTIONS}
     router = DocumentBroker(
-        index,
-        on_payload=lambda key, node_id, data: mailboxes[key].append(data))
+        index, delivery=SubstreamDelivery(
+            on_payload=lambda key, node_id, data: mailboxes[key].append(data)))
     for name, document in DOCUMENTS.items():
         xml_text = to_xml(document, indent=0)
         chunks = [xml_text[start:start + CHUNK_SIZE]
@@ -197,7 +199,7 @@ def main() -> None:
     # each operation actually cost.
     print("Live churn on the running broker (no recompilation, session")
     print("synced in place, warm DFA transitions kept):")
-    feed = DocumentBroker(index, matches_only=True)
+    feed = DocumentBroker(index, delivery=VerdictDelivery())
     xml_text = to_xml(DOCUMENTS["catalogue-with-prices"], indent=0)
     before = feed.submit("before-churn", xml_text)
     session = feed.session

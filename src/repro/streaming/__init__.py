@@ -91,9 +91,9 @@ Delivery modes: verdict, node ids, substream
 (:meth:`SubscriptionIndex.matcher`/``evaluate``, :class:`DocumentBroker`)
 via ``delivery=``:
 
-* **verdict** (:class:`~repro.streaming.delivery.VerdictDelivery`, or the
-  legacy ``matches_only=True``) — per-subscription booleans.  Cheapest;
-  admits early termination: the session halts once every verdict is fixed.
+* **verdict** (:class:`~repro.streaming.delivery.VerdictDelivery`) —
+  per-subscription booleans.  Cheapest; admits early termination: the
+  session halts once every verdict is fixed.
 * **ids** (:class:`~repro.streaming.delivery.NodeIdDelivery`, the default)
   — sorted matched node ids per subscription, agreeing 1:1 with the DOM
   evaluator's document-order positions.
@@ -105,9 +105,9 @@ via ``delivery=``:
   overlapping and nested matches — across *all* subscriptions — share one
   capture buffer by reference, rendering of a shared subtree happens once,
   and while no capture window is open the tee costs nothing, so verdict
-  and id modes are completely unaffected.  Payload routing is per
-  subscription: a streaming ``on_payload(key, node_id, data)`` callback
-  (fires as each window closes), or buffered bytes on
+  and id modes are completely unaffected.  Payload routing:
+  ``SubstreamDelivery(on_payload=f)`` streams ``f(key, node_id, data)`` as
+  each window closes; without a callback the bytes are buffered on
   ``SubscriptionResult.payload``.  ``StreamStats.subtrees_emitted`` /
   ``bytes_emitted`` count what crossed the boundary.
 

@@ -199,6 +199,10 @@ class _NfaBuilder:
         #: appear in any previously materialized DFA set, so the
         #: intersection ignores them naturally.
         self.touched: set = set()
+        #: Whether any attribute edge / sibling window exists yet — set
+        #: where the rule is created, never cleared (fragments only grow).
+        self.has_attribute_rules = False
+        self.has_window_rules = False
 
     def _new(self) -> int:
         self.states.append(_NfaState())
@@ -227,10 +231,12 @@ class _NfaBuilder:
             state.text.append(target)
         elif kind == analysis.K_TEXT:
             state.text.append(target)
-        elif kind == analysis.K_ATTR:
-            state.attr_by_name.setdefault(name, []).append(target)
         else:
-            state.attr_any.append(target)
+            self.has_attribute_rules = True
+            if kind == analysis.K_ATTR:
+                state.attr_by_name.setdefault(name, []).append(target)
+            else:
+                state.attr_any.append(target)
 
     def _window(self, source: int, mode: int, test: _Test) -> int:
         """A sibling-window fragment anchored at ``source``.
@@ -244,6 +250,7 @@ class _NfaBuilder:
         — via an armer state — at text descendants, whose windows arm at
         the text event itself because text nodes have no close event.
         """
+        self.has_window_rules = True
         window = self._new()
         target = self._new()
         self._edge(window, test, target)
@@ -380,10 +387,8 @@ class SubscriptionAutomaton:
         self._full_invalidations = 0
         #: Bumped on every flush; runs holding state ids resync on mismatch.
         self.epoch = 0
-        self.has_attribute_rules = any(
-            state.attr_by_name or state.attr_any for state in self._nfa)
-        self.has_window_rules = any(
-            state.arm_sib or state.arm_fol for state in self._nfa)
+        self.has_attribute_rules = builder.has_attribute_rules
+        self.has_window_rules = builder.has_window_rules
         self._reset_caches()
 
     def _reset_caches(self) -> None:
@@ -434,22 +439,11 @@ class SubscriptionAutomaton:
         """
         builder = self._builder
         builder.touched.clear()
-        before = len(builder.states)
         _compile_path(builder, ordinal, path)
         touched = frozenset(builder.touched)
         builder.touched.clear()
-        fresh = range(before, len(builder.states))
-        if not self.has_attribute_rules:
-            self.has_attribute_rules = any(
-                self._nfa[q].attr_by_name or self._nfa[q].attr_any
-                for q in (*touched, *fresh))
-        if not self.has_window_rules:
-            # Live runs pick the flip up at their next document start
-            # (mid-document their window bookkeeping was never maintained,
-            # which is covered by adds-take-effect-next-document).
-            self.has_window_rules = any(
-                self._nfa[q].arm_sib or self._nfa[q].arm_fol
-                for q in (*touched, *fresh))
+        self.has_attribute_rules = builder.has_attribute_rules
+        self.has_window_rules = builder.has_window_rules
         self._invalidate_touched(touched, churn)
 
     def _invalidate_touched(self, touched: FrozenSet[int], churn) -> None:
@@ -818,9 +812,12 @@ class AutomatonRun:
               is_element: bool, tag, value, is_attribute: bool) -> None:
         """Deliver DFA accepts and open qualifier gates at the current node.
 
-        Everything converges on ``core.add_candidate`` — pure structural
-        accepts directly, gated members once their remaining expectation
-        steps resolve — which is also where substream capture windows open
+        A gate is a step match like any other: the node reached the gate's
+        spine prefix, so it continues through ``core.step_matched`` with the
+        gate's qualifiers and remaining steps.  Everything converges on
+        ``core.add_candidate`` — pure structural accepts directly, gated
+        members once their remainder resolves — which is also where
+        substream capture windows open
         (:meth:`~repro.streaming.matcher.MatcherCore._capture_candidate`).
         DFA-accepted structural members therefore start their captures at
         the accepting element's own StartElement, exactly like final-step
@@ -833,25 +830,9 @@ class AutomatonRun:
                                value, (), collect_values=False)
         for gate in gates:
             sink = sink_of(gate.ordinal)
-            if sink.satisfied:
-                # Verdict already fixed (exists-only sink): the gate's
-                # conditions and expectations could change nothing.
-                continue
-            conditions = ()
-            if gate.qualifiers:
-                conditions = tuple(
-                    core._build_condition(qualifier, node_id, depth,
-                                          is_element, tag, value,
-                                          is_attribute)
-                    for qualifier in gate.qualifiers)
-            if gate.remaining:
-                core.spawn_steps(gate.remaining, anchor_id=node_id,
-                                 anchor_depth=depth,
-                                 anchor_is_element=is_element,
-                                 anchor_tag=tag, anchor_value=value,
-                                 conditions=conditions, sink=sink,
-                                 collect_values=False,
-                                 anchor_is_attribute=is_attribute)
-            else:
-                core.add_candidate(sink, node_id, depth, is_element, value,
-                                   conditions, collect_values=False)
+            # A satisfied sink's verdict is fixed (exists-only sink): the
+            # gate's conditions and expectations could change nothing.
+            if not sink.satisfied:
+                core.step_matched(gate.qualifiers, gate.remaining, sink,
+                                  False, node_id, depth, is_element, tag,
+                                  value, is_attribute=is_attribute)

@@ -17,9 +17,9 @@ chunks — and must route each one to the standing subscriptions it matches.
 * each submitted document is tokenized incrementally with
   :class:`~repro.xmlmodel.parser.PushTokenizer`, so callers hand over chunks
   exactly as they arrive;
-* in verdict-only mode (``matches_only=True``) a document's session halts —
-  and the broker stops tokenizing its remaining chunks — the moment every
-  subscription's verdict is decided.
+* in verdict-only mode (``delivery=VerdictDelivery()``) a document's session
+  halts — and the broker stops tokenizing its remaining chunks — the moment
+  every subscription's verdict is decided.
 
 :meth:`DocumentBroker.submit` returns the per-document
 :class:`~repro.streaming.engine.MultiMatchResult`; the broker additionally
@@ -30,7 +30,7 @@ history for monitoring a long-running feed.
 from __future__ import annotations
 
 from collections import deque
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from typing import (
     Deque,
     Hashable,
@@ -43,12 +43,7 @@ from typing import (
 )
 
 from repro.streaming.automaton import resolve_backend
-from repro.streaming.delivery import (
-    Delivery,
-    PayloadCallback,
-    SubstreamDelivery,
-    resolve_delivery,
-)
+from repro.streaming.delivery import Delivery, resolve_delivery
 from repro.streaming.engine import (
     MultiMatcher,
     MultiMatchResult,
@@ -88,17 +83,7 @@ class BrokerStats:
 
     def as_row(self) -> dict:
         """Flat dictionary used by the benchmark reports."""
-        return {
-            "documents": self.documents,
-            "documents_matched": self.documents_matched,
-            "deliveries": self.deliveries,
-            "chunks": self.chunks,
-            "chunks_skipped": self.chunks_skipped,
-            "events": self.events,
-            "events_skipped": self.events_skipped,
-            "subtrees_emitted": self.subtrees_emitted,
-            "bytes_emitted": self.bytes_emitted,
-        }
+        return asdict(self)
 
 
 @dataclass(frozen=True)
@@ -119,22 +104,18 @@ class DocumentBroker:
     mapping, an iterable of queries, or ``None``) — or an already-built
     ``SubscriptionIndex`` to share with other consumers.
 
-    ``matches_only`` selects the verdict-only SDI mode: per-subscription
-    booleans instead of node ids, with early termination both in the matcher
-    (events) and in the broker (chunks left untokenized).  Routing services
-    want this; leave it ``False`` to get full per-subscription node ids, as
-    :meth:`SubscriptionIndex.evaluate` would return them.
-
-    ``delivery`` generalizes that pair into the emission layer
-    (:mod:`repro.streaming.delivery`): pass a
-    :class:`~repro.streaming.delivery.SubstreamDelivery` to serve the
-    matched *content* — each match's subtree re-serialized to XML bytes —
-    instead of verdicts or ids.  ``on_payload`` is shorthand for substream
-    mode with a streaming callback: ``on_payload(subscription_key, node_id,
-    data)`` fires per match as its subtree closes; without a callback the
-    bytes are buffered per subscription on ``SubscriptionResult.payload``.
-    Passing both ``delivery`` and ``on_payload`` is rejected unless they
-    agree (the delivery has no callback of its own).
+    ``delivery`` is the emission layer (:mod:`repro.streaming.delivery`).
+    The default, :class:`~repro.streaming.delivery.NodeIdDelivery`, reports
+    full per-subscription node ids, as :meth:`SubscriptionIndex.evaluate`
+    would.  :class:`~repro.streaming.delivery.VerdictDelivery` is the
+    verdict-only SDI mode routing services want: per-subscription booleans,
+    with early termination both in the matcher (events) and in the broker
+    (chunks left untokenized).
+    :class:`~repro.streaming.delivery.SubstreamDelivery` serves the matched
+    *content* — each match's subtree re-serialized to XML bytes — streamed
+    through its ``on_payload(subscription_key, node_id, data)`` callback as
+    each subtree closes or, without a callback, buffered per subscription
+    on ``SubscriptionResult.payload``.
 
     ``backend`` picks the structural dispatch engine: ``"dfa"`` (the
     default) compiles the index into one shared lazy automaton whose warmed
@@ -153,9 +134,10 @@ class DocumentBroker:
     unbounded (every document of the feed is recorded; only for short
     feeds).
 
-    **Live churn.**  :meth:`subscribe` / :meth:`unsubscribe` change the
-    subscription set *between* submits without recompiling the index (see
-    the live-churn section of :class:`SubscriptionIndex`).  The broker's
+    **Live churn.**  :meth:`subscribe` / :meth:`unsubscribe` — or any
+    registration on :attr:`index` itself — change the subscription set
+    *between* submits without recompiling the index (see the live-churn
+    section of :class:`SubscriptionIndex`).  The broker's
     session follows along at the next checkout: additions are picked up by
     an incremental :meth:`~repro.streaming.engine.MultiMatcher.sync` (the
     index ``version`` counter), removals take effect immediately through
@@ -173,34 +155,18 @@ class DocumentBroker:
                  subscriptions: TypingUnion[None, SubscriptionIndex,
                                             Mapping[Hashable, TypingUnion[str, PathExpr]],
                                             Iterable[TypingUnion[str, PathExpr]]] = None,
-                 matches_only: bool = False,
                  backend: Optional[str] = None,
                  keep_whitespace: bool = False,
                  ruleset: str = "ruleset2",
                  cache: Optional[QueryCache] = None,
                  history_limit: Optional[int] = 256,
-                 delivery: Optional[Delivery] = None,
-                 on_payload: Optional[PayloadCallback] = None):
+                 delivery: Optional[Delivery] = None):
         if isinstance(subscriptions, SubscriptionIndex):
             self._index = subscriptions
-            self._owns_index = False
         else:
             self._index = SubscriptionIndex(subscriptions, ruleset=ruleset,
                                             cache=cache)
-            self._owns_index = True
-        if on_payload is not None:
-            # A payload callback implies substream mode; a caller-supplied
-            # delivery may carry the callback itself, but not a different one.
-            if delivery is None:
-                delivery = SubstreamDelivery(on_payload=on_payload)
-            elif delivery.on_payload is None and delivery.captures:
-                delivery = SubstreamDelivery(on_payload=on_payload)
-            else:
-                raise ValueError(
-                    "on_payload conflicts with the supplied delivery; pass "
-                    "SubstreamDelivery(on_payload=...) or on_payload alone")
-        self._delivery = resolve_delivery(delivery, matches_only)
-        self._matches_only = self._delivery.matches_only
+        self._delivery = resolve_delivery(delivery)
         # Resolved once at construction so a long-lived broker is immune to
         # later environment changes.
         self._backend = resolve_backend(backend)
@@ -223,38 +189,14 @@ class DocumentBroker:
     def __len__(self) -> int:
         return len(self._index)
 
-    def add(self, query, key: Optional[Hashable] = None) -> Subscription:
-        """Register one more subscription; the session syncs at the next
-        submit.
-
-        Only available when the broker built its own index.  A
-        ``SubscriptionIndex`` handed in by the caller may be shared with
-        other brokers, which rely on it staying immutable — register every
-        subscription on it *before* constructing the brokers instead.
-        """
-        self._check_owns_index()
-        return self._index.add(query, key=key)
-
-    def add_many(self, subscriptions) -> List[Subscription]:
-        self._check_owns_index()
-        return self._index.add_many(subscriptions)
-
-    def _check_owns_index(self) -> None:
-        if not self._owns_index:
-            raise ValueError(
-                "cannot add subscriptions through a broker built on an "
-                "externally supplied SubscriptionIndex (it may be shared); "
-                "add them on the index before constructing the broker")
-
     def subscribe(self, key: Hashable,
                   query: TypingUnion[str, PathExpr]) -> Subscription:
         """Live churn: add one subscription to the running broker.
 
         Delegates to :meth:`SubscriptionIndex.add_subscription`; the
         session picks the addition up incrementally at the next submit.
-        Unlike :meth:`add` this is allowed on a shared index — churn is
-        what the version counters exist for, and other brokers on the same
-        index sync at their own next submit.
+        Safe on a shared index — churn is what the version counters exist
+        for, and other brokers on it sync at their own next submit.
         """
         return self._index.add_subscription(key, query)
 
@@ -283,8 +225,7 @@ class DocumentBroker:
             # First document, the index was vacuumed (ordinals remapped),
             # or a previous submission left an unsalvageable session:
             # build a fresh one.
-            matcher = index.matcher(matches_only=self._matches_only,
-                                    backend=self._backend,
+            matcher = index.matcher(backend=self._backend,
                                     delivery=self._delivery)
             self._matcher = matcher
             self._session_used = False

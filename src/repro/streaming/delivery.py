@@ -1,14 +1,13 @@
 """The emission layer: what a decided match *delivers* to its subscriber.
 
-Historically :class:`~repro.streaming.engine.MultiMatcher` hard-coded one
-answer shape — append the matched node id to the subscription's sink, with
-``matches_only=True`` degrading that to a boolean verdict.  This module
-makes the shape pluggable.  A :class:`Delivery` names one of three modes:
+The answer shape of :class:`~repro.streaming.engine.MultiMatcher` is
+pluggable: every entry point that builds one takes ``delivery=``, a
+:class:`Delivery` naming one of three modes:
 
 ``verdict``
     Per-subscription booleans only.  Cheapest; admits early termination.
 ``ids``
-    Sorted matched node ids per subscription (the legacy default).
+    Sorted matched node ids per subscription (the default).
 ``substream``
     The matched *content*: each match re-emits its subtree's events,
     re-serialized to XML bytes by
@@ -86,14 +85,16 @@ class Delivery:
 
 
 class VerdictDelivery(Delivery):
-    """Booleans only — the ``matches_only=True`` SDI mode as a Delivery."""
+    """Booleans only — the SDI routing mode.  Result sinks are existence
+    sinks, so a subscription stops costing anything once it is decided and
+    the session halts when all are."""
 
     mode = VERDICT
     matches_only = True
 
 
 class NodeIdDelivery(Delivery):
-    """Sorted matched node ids per subscription (the legacy default)."""
+    """Sorted matched node ids per subscription (the default)."""
 
     mode = NODE_IDS
 
@@ -114,23 +115,13 @@ class SubstreamDelivery(Delivery):
         self.on_payload = on_payload
 
 
-def resolve_delivery(delivery: Optional[Delivery] = None,
-                     matches_only: bool = False) -> Delivery:
-    """Resolve the ``delivery`` / legacy ``matches_only`` pair to a Delivery.
-
-    ``matches_only=True`` is the pre-emission-layer spelling of
-    :class:`VerdictDelivery`; both remain supported, but asking for a
-    verdict *and* a non-verdict delivery at once is a contradiction and
-    raises ``ValueError``.
-    """
+def resolve_delivery(delivery: Optional[Delivery] = None) -> Delivery:
+    """The ``delivery=`` argument of the engine entry points as a Delivery:
+    ``None`` means :class:`NodeIdDelivery`."""
     if delivery is None:
-        return VerdictDelivery() if matches_only else NodeIdDelivery()
+        return NodeIdDelivery()
     if not isinstance(delivery, Delivery):
         raise TypeError(f"not a Delivery: {delivery!r}")
-    if matches_only and not delivery.matches_only:
-        raise ValueError(
-            f"matches_only=True contradicts delivery mode {delivery.mode!r}; "
-            "pass one or the other")
     return delivery
 
 

@@ -36,7 +36,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field, replace
 from functools import cached_property
-from typing import Dict, Hashable, Iterable, List, Mapping, Optional, Sequence, Tuple, Union as TypingUnion
+from typing import Dict, Hashable, Iterable, List, Mapping, Optional, Tuple, Union as TypingUnion
 
 from repro.errors import StreamingError
 from repro.streaming.automaton import (
@@ -49,6 +49,7 @@ from repro.streaming.automaton import (
 from repro.streaming.delivery import (
     Delivery,
     SubtreeTee,
+    VerdictDelivery,
     resolve_delivery,
 )
 from repro.streaming.matcher import (
@@ -138,35 +139,32 @@ class MultiMatcher(MatcherCore):
     """Single-pass matcher for a whole subscription index.
 
     Built by :meth:`SubscriptionIndex.matcher`; one instance matches one
-    document at a time (the expectations are stream state).  With
-    ``matches_only`` the per-subscription result sinks resolve eagerly: as
-    soon as a subscription is known to match, its verdict is fixed, its
-    buffered entries are dropped, the expectations feeding its sink are
-    unlinked and its gates stop firing — the SDI fast path.
+    document at a time (the expectations are stream state).  With a
+    :class:`~repro.streaming.delivery.VerdictDelivery` the per-subscription
+    result sinks resolve eagerly: as soon as a subscription is known to
+    match, its verdict is fixed, its buffered entries are dropped, the
+    expectations feeding its sink are unlinked and its gates stop firing —
+    the SDI fast path.
     """
 
-    def __init__(self, subscriptions: Sequence[Subscription],
-                 matches_only: bool = False,
+    def __init__(self, index: "SubscriptionIndex",
                  automaton: Optional[SubscriptionAutomaton] = None,
-                 delivery: Optional[Delivery] = None,
-                 index: Optional["SubscriptionIndex"] = None):
+                 delivery: Optional[Delivery] = None):
         super().__init__()
         #: Live churn (see :meth:`sync`): the index this session serves, the
         #: retired-ordinal set shared with it *by reference* (removals take
         #: effect immediately, mid-document included), and the version /
         #: generation snapshot the session was last synced to.
         self._index = index
-        self._retired: set = index._retired if index is not None else set()
-        self._synced_version = index.version if index is not None else 0
-        self._generation = index.generation if index is not None else 0
+        self._retired: set = index._retired
+        self._synced_version = index.version
+        self._generation = index.generation
         # The emission layer (see repro.streaming.delivery): what a decided
-        # match delivers.  ``matches_only`` is the legacy spelling of the
-        # verdict mode; ``resolve_delivery`` reconciles the two.
-        delivery = resolve_delivery(delivery, matches_only)
-        matches_only = delivery.matches_only
+        # match delivers.
+        delivery = resolve_delivery(delivery)
         self._delivery = delivery
-        self._subscriptions = tuple(subscriptions)
-        self._matches_only = matches_only
+        self._subscriptions = tuple(index._subscriptions)
+        self._matches_only = delivery.matches_only
         self._automaton = automaton
         if delivery.captures:
             # Substream mode: engage the shared single-pass tee.  The core's
@@ -182,7 +180,7 @@ class MultiMatcher(MatcherCore):
         if automaton is not None:
             self._automaton_run = AutomatonRun(automaton,
                                                self._structural_sink)
-        self._sinks = [_Sink(exists_only=matches_only)
+        self._sinks = [_Sink(exists_only=self._matches_only)
                        for _ in self._subscriptions]
         #: Reverse map for verdict bookkeeping and capture routing: a result
         #: sink can satisfy on any delivery path (immediately, or in the
@@ -192,7 +190,7 @@ class MultiMatcher(MatcherCore):
         self._ordinal_by_sink: Dict[int, int] = {
             id(sink): ordinal for ordinal, sink in enumerate(self._sinks)}
         self._satisfied: set = set()
-        if matches_only:
+        if self._matches_only:
             self._seed_retired_verdicts()
         for subscription in self._subscriptions:
             self._register_absolute_subpaths(subscription.path)
@@ -235,8 +233,7 @@ class MultiMatcher(MatcherCore):
         one :class:`~repro.streaming.broker.DocumentBroker` session amortize
         the compiled index over a continuous feed of documents.
         """
-        if (self._index is not None
-                and self._index.generation != self._generation):
+        if self._index.generation != self._generation:
             raise StreamingError(
                 "the subscription index was vacuumed (ordinals remapped); "
                 "build a fresh matcher")
@@ -262,10 +259,6 @@ class MultiMatcher(MatcherCore):
         were remapped, build a fresh matcher.
         """
         index = self._index
-        if index is None:
-            raise StreamingError(
-                "this matcher was built without a SubscriptionIndex; "
-                "nothing to sync from")
         if index.generation != self._generation:
             raise StreamingError(
                 "the subscription index was vacuumed (ordinals remapped); "
@@ -611,8 +604,7 @@ class SubscriptionIndex:
             subscription.path for subscription in self.subscriptions)
 
     # -- matching ----------------------------------------------------------
-    def matcher(self, matches_only: bool = False,
-                backend: Optional[str] = None,
+    def matcher(self, backend: Optional[str] = None,
                 delivery: Optional[Delivery] = None) -> MultiMatcher:
         """A fresh single-pass matcher over the live subscriptions.
 
@@ -624,25 +616,22 @@ class SubscriptionIndex:
         ``REPRO_STREAMING_BACKEND``, then to ``"dfa"``.
 
         ``delivery`` picks the emission layer (verdict / node ids /
-        substream — see :mod:`repro.streaming.delivery`); ``None`` keeps the
-        legacy behaviour of ``matches_only``.
+        substream — see :mod:`repro.streaming.delivery`); ``None`` means
+        node ids.
         """
         automaton = (self._built_automaton()
                      if resolve_backend(backend) == "dfa" else None)
-        return MultiMatcher(self._subscriptions, matches_only=matches_only,
-                            automaton=automaton, delivery=delivery,
-                            index=self)
+        return MultiMatcher(self, automaton=automaton, delivery=delivery)
 
     def evaluate(self, events: Iterable[Event],
-                 matches_only: bool = False,
                  backend: Optional[str] = None,
                  delivery: Optional[Delivery] = None) -> MultiMatchResult:
         """Match one document stream against every subscription at once."""
-        return self.matcher(matches_only=matches_only, backend=backend,
+        return self.matcher(backend=backend,
                             delivery=delivery).process(events)
 
     def matching(self, events: Iterable[Event],
                  backend: Optional[str] = None) -> List[Hashable]:
         """Keys of the subscriptions the document matches (SDI routing)."""
-        return self.evaluate(events, matches_only=True,
-                             backend=backend).matching_keys
+        return self.evaluate(events, backend=backend,
+                             delivery=VerdictDelivery()).matching_keys

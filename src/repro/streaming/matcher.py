@@ -48,8 +48,8 @@ How it works
   expectations register for expiry under their anchor id; a
   ``following-sibling`` window registers under its anchor's *parent* id and
   is closed when that parent closes.  An :class:`EndElement` therefore pops
-  just the affected entries.  Expectations whose continuation can no longer
-  deliver anything useful (their existence sink is already satisfied — a
+  just the affected entries.  Expectations that can no longer deliver
+  anything useful (the existence sink they feed is already satisfied — a
   qualifier witness found, or a verdict-only subscription decided) are
   unlinked *at the moment of satisfaction* through the sink-watcher registry
   rather than re-checked on every event.
@@ -72,9 +72,10 @@ thousands of subscriptions at once (:mod:`repro.streaming.engine`):
 
 * :class:`MatcherCore` owns the event loop, the element stack, the
   expectation lifecycle, conditions, value collection and the shared
-  absolute-sub-path sinks.  Each expectation carries a
-  :class:`PathContinuation`: continue with the remaining steps of one path
-  into one sink.
+  absolute-sub-path sinks.  Each expectation carries the remaining steps
+  of its path and the sink they feed; whatever matched a step — a
+  dispatched node, an attribute, a ``self`` anchor, a node that reached a
+  gate — continues through :meth:`MatcherCore.step_matched`.
 * Paths enter the core through one door.  With ``backend="dfa"`` the lazy
   automaton (:mod:`repro.streaming.automaton`) dispatches structure and
   either *accepts* (a decided match, straight into ``add_candidate``) or
@@ -341,8 +342,8 @@ _WAITING, _ACTIVE, _EXPIRED = "waiting", "active", "expired"
 class _Expectation:
     """Waiting for future nodes related to ``anchor`` by ``step.axis``.
 
-    What to do with a matching node is delegated to ``cont``, the
-    :class:`PathContinuation` carrying the rest of the path and its sink.
+    A matching node continues through :meth:`MatcherCore.step_matched` with
+    the rest of the path (``remaining``) into ``sink``.
 
     ``serial`` is the engine-wide spawn ordinal, used as the key under which
     the expectation is linked into the dispatch index (``bucket``) and at
@@ -350,14 +351,18 @@ class _Expectation:
     when the expectation expires.
     """
 
-    __slots__ = ("step", "cont", "anchor_id", "anchor_depth",
-                 "conditions", "state", "serial", "bucket", "watch")
+    __slots__ = ("step", "remaining", "sink", "collect_values", "anchor_id",
+                 "anchor_depth", "conditions", "state", "serial", "bucket",
+                 "watch")
 
-    def __init__(self, step: Step, cont: "PathContinuation", anchor_id: int,
-                 anchor_depth: int, conditions: Tuple[_Condition, ...],
-                 state: str, serial: int = 0):
+    def __init__(self, step: Step, remaining: Tuple[Step, ...], sink: _Sink,
+                 collect_values: bool, anchor_id: int, anchor_depth: int,
+                 conditions: Tuple[_Condition, ...], state: str,
+                 serial: int = 0):
         self.step = step
-        self.cont = cont
+        self.remaining = remaining
+        self.sink = sink
+        self.collect_values = collect_values
         self.anchor_id = anchor_id
         self.anchor_depth = anchor_depth
         self.conditions = conditions
@@ -498,57 +503,6 @@ class _ValueCollector:
         self.entry = entry
         self.anchor_depth = anchor_depth
         self.parts: List[str] = []
-
-
-# ---------------------------------------------------------------------------
-# Continuations: what happens after a step matches
-# ---------------------------------------------------------------------------
-
-class PathContinuation:
-    """Continue one path: match the remaining steps, then feed one sink.
-
-    ``dead(core)`` reports whether the expectation can be dropped because
-    the sink is no longer interested (an existence sink already satisfied);
-    it is consulted once at spawn time.  ``register(core, expectation)``
-    links a freshly spawned expectation into the sink-watcher registry, so
-    that satisfaction unlinks it immediately instead of the engine
-    re-checking ``dead`` on every event.  ``proceed(core, ...)`` consumes a
-    matched node *after* the step's qualifiers have been turned into
-    conditions.
-    """
-
-    __slots__ = ("remaining", "sink", "collect_values")
-
-    def __init__(self, remaining: Tuple[Step, ...], sink: _Sink,
-                 collect_values: bool):
-        self.remaining = remaining
-        self.sink = sink
-        self.collect_values = collect_values
-
-    def dead(self, core: "MatcherCore") -> bool:
-        return self.sink.satisfied
-
-    def register(self, core: "MatcherCore",
-                 expectation: _Expectation) -> None:
-        # Only an existence sink can ever flip to satisfied mid-stream; a
-        # collecting sink keeps accepting entries until the end.
-        if self.sink.exists_only:
-            core.watch_sink(self.sink, expectation)
-
-    def proceed(self, core: "MatcherCore", node_id: int, depth: int,
-                is_element: bool, tag: Optional[str], value: Optional[str],
-                conditions: Tuple[_Condition, ...],
-                is_attribute: bool = False) -> None:
-        if self.remaining:
-            core.spawn_steps(self.remaining, anchor_id=node_id,
-                             anchor_depth=depth, anchor_is_element=is_element,
-                             anchor_tag=tag, anchor_value=value,
-                             conditions=conditions, sink=self.sink,
-                             collect_values=self.collect_values,
-                             anchor_is_attribute=is_attribute)
-            return
-        core.add_candidate(self.sink, node_id, depth, is_element, value,
-                           conditions, self.collect_values)
 
 
 # ---------------------------------------------------------------------------
@@ -813,9 +767,11 @@ class MatcherCore:
                 # The bucket implies the node test; check state and depth.
                 if not expectation.admissible(depth):
                     continue
-                self._node_matched(expectation.step, expectation.cont,
-                                   node_id, depth, is_element, tag, value,
-                                   expectation.conditions)
+                self.step_matched(expectation.step.qualifiers,
+                                  expectation.remaining, expectation.sink,
+                                  expectation.collect_values, node_id, depth,
+                                  is_element, tag, value,
+                                  expectation.conditions)
         if self._automaton_run is not None:
             # Structural dispatch: decided deliveries plus qualifier gates,
             # which may spawn expectations anchored at this very node —
@@ -876,10 +832,11 @@ class MatcherCore:
                 if (expectation.state is not _ACTIVE
                         or expectation.anchor_id != node_id):
                     continue
-                self._node_matched(expectation.step, expectation.cont,
-                                   attribute_id, depth + 1, False, name,
-                                   value, expectation.conditions,
-                                   is_attribute=True)
+                self.step_matched(expectation.step.qualifiers,
+                                  expectation.remaining, expectation.sink,
+                                  expectation.collect_values, attribute_id,
+                                  depth + 1, False, name, value,
+                                  expectation.conditions, is_attribute=True)
         if dispatch.has_attribute_expectations:
             for expectation in dispatch.attribute_expectations():
                 self._expire(expectation)
@@ -1064,31 +1021,19 @@ class MatcherCore:
                     conditions: Tuple[_Condition, ...], sink: _Sink,
                     collect_values: bool,
                     anchor_is_attribute: bool = False) -> None:
-        """Start matching a step sequence from the given anchor node."""
-        self.spawn_step(steps[0],
-                        PathContinuation(steps[1:], sink, collect_values),
-                        anchor_id=anchor_id, anchor_depth=anchor_depth,
-                        anchor_is_element=anchor_is_element,
-                        anchor_tag=anchor_tag, anchor_value=anchor_value,
-                        conditions=conditions,
-                        anchor_is_attribute=anchor_is_attribute)
-
-    def spawn_step(self, step: Step, cont: PathContinuation, anchor_id: int,
-                   anchor_depth: int, anchor_is_element: bool,
-                   anchor_tag: Optional[str], anchor_value: Optional[str],
-                   conditions: Tuple[_Condition, ...],
-                   anchor_is_attribute: bool = False) -> None:
-        """Expect one step from the given anchor, continuing with ``cont``.
+        """Expect ``steps[0]`` from the given anchor; the rest of the
+        sequence continues from whatever matches it, into ``sink``.
 
         Invariant relied on for expiry registration: spawning only ever
         happens while the anchor is the node currently being processed (or
         the document root), so ``self._stack`` holds exactly the anchor's
         proper ancestors.
         """
-        if cont.dead(self):
-            # Nothing downstream is still interested (e.g. the existence sink
+        if sink.satisfied:
+            # Nothing downstream is still interested (the existence sink
             # this would feed is already satisfied): don't spawn at all.
             return
+        step, remaining = steps[0], steps[1:]
         axis = step.axis
         # The anchor is a text leaf when it is not an element but carries a
         # value and is not an attribute; the document root is "not an
@@ -1109,10 +1054,10 @@ class MatcherCore:
             # The anchor itself may match the first step.
             if self._anchor_matches_test(step, anchor_is_element, anchor_tag,
                                          anchor_is_text, anchor_is_attribute):
-                self._node_matched(step, cont, anchor_id, anchor_depth,
-                                   anchor_is_element, anchor_tag, anchor_value,
-                                   conditions,
-                                   is_attribute=anchor_is_attribute)
+                self.step_matched(step.qualifiers, remaining, sink,
+                                  collect_values, anchor_id, anchor_depth,
+                                  anchor_is_element, anchor_tag, anchor_value,
+                                  conditions, anchor_is_attribute)
             if axis is Axis.SELF:
                 return
 
@@ -1133,10 +1078,9 @@ class MatcherCore:
             # never closes before the end of the stream, so nothing follows it.
             state = _ACTIVE if anchor_is_text else _WAITING
         self._serial += 1
-        expectation = _Expectation(step=step, cont=cont,
-                                   anchor_id=anchor_id, anchor_depth=anchor_depth,
-                                   conditions=conditions, state=state,
-                                   serial=self._serial)
+        expectation = _Expectation(step, remaining, sink, collect_values,
+                                   anchor_id, anchor_depth, conditions, state,
+                                   self._serial)
         if state is _ACTIVE:
             self._dispatch.insert(expectation)
         else:
@@ -1149,7 +1093,10 @@ class MatcherCore:
             parent_id = self._stack[anchor_depth - 1].node_id
             self._sibling_expiry_by_parent.setdefault(
                 parent_id, []).append(expectation)
-        cont.register(self, expectation)
+        if sink.exists_only:
+            # Only an existence sink can ever flip to satisfied mid-stream; a
+            # collecting sink keeps accepting entries until the end.
+            self.watch_sink(sink, expectation)
         self._live += 1
         self.stats.expectations_created += 1
         if self._live > self.stats.max_live_expectations:
@@ -1180,21 +1127,37 @@ class MatcherCore:
             return anchor_is_element
         return anchor_is_element and anchor_tag == step.node_test.name
 
-    def _node_matched(self, step: Step, cont: PathContinuation, node_id: int,
-                      depth: int, is_element: bool, tag: Optional[str],
-                      value: Optional[str],
-                      inherited: Tuple[_Condition, ...],
-                      is_attribute: bool = False) -> None:
-        """A node matched ``step``; evaluate its qualifiers and continue."""
-        if step.qualifiers:
-            conditions = list(inherited)
-            for qual in step.qualifiers:
-                conditions.append(self._build_condition(
-                    qual, node_id, depth, is_element, tag, value,
-                    is_attribute))
-            inherited = tuple(conditions)
-        cont.proceed(self, node_id, depth, is_element, tag, value, inherited,
-                     is_attribute)
+    def step_matched(self, qualifiers: Tuple[Qualifier, ...],
+                     remaining: Tuple[Step, ...], sink: _Sink,
+                     collect_values: bool, node_id: int, depth: int,
+                     is_element: bool, tag: Optional[str],
+                     value: Optional[str],
+                     conditions: Tuple[_Condition, ...] = (),
+                     is_attribute: bool = False) -> None:
+        """A node matched a step: turn the step's ``qualifiers`` into
+        conditions (after the inherited ``conditions``), then continue with
+        the ``remaining`` steps anchored at the node — or, when none are
+        left, deliver it into ``sink``.
+
+        The one hand-off for every kind of step match: dispatched elements
+        and text, the attribute sweep, ``self``/``descendant-or-self``
+        anchors, and automaton gates (whose "step" is the gate's qualifiers
+        and remainder).
+        """
+        if qualifiers:
+            conditions += tuple(
+                self._build_condition(qual, node_id, depth, is_element, tag,
+                                      value, is_attribute)
+                for qual in qualifiers)
+        if remaining:
+            self.spawn_steps(remaining, anchor_id=node_id, anchor_depth=depth,
+                             anchor_is_element=is_element, anchor_tag=tag,
+                             anchor_value=value, conditions=conditions,
+                             sink=sink, collect_values=collect_values,
+                             anchor_is_attribute=is_attribute)
+        else:
+            self.add_candidate(sink, node_id, depth, is_element, value,
+                               conditions, collect_values)
 
     def add_candidate(self, sink: _Sink, node_id: int, depth: int,
                       is_element: bool, value: Optional[str],
@@ -1294,10 +1257,12 @@ class MatcherCore:
                          is_attribute: bool = False) -> _Condition:
         self.stats.conditions_created += 1
         if isinstance(qual, PathQualifier):
-            return self._existence_condition(qual.path, node_id, depth,
-                                             is_element, tag, value,
-                                             collect_values=False,
-                                             is_attribute=is_attribute)
+            if isinstance(qual.path, Bottom):
+                return _FalseCondition()
+            return _ExistsCondition(self._operand_sink(
+                qual.path, node_id, depth, is_element, tag, value,
+                collect_values=False, is_attribute=is_attribute,
+                exists_only=True))
         if isinstance(qual, AndExpr):
             return _AndCondition([
                 self._build_condition(qual.left, node_id, depth, is_element,
@@ -1337,33 +1302,17 @@ class MatcherCore:
             return _JoinCondition(left, right, qual.op)
         raise StreamingError(f"not a qualifier: {qual!r}")
 
-    def _existence_condition(self, path: PathExpr, node_id: int, depth: int,
-                             is_element: bool, tag: Optional[str],
-                             value: Optional[str], collect_values: bool,
-                             is_attribute: bool = False) -> _Condition:
-        if isinstance(path, Bottom):
-            return _FalseCondition()
-        if analysis.is_absolute(path):
-            return _ExistsCondition(self._absolute_sink(path, collect_values))
-        sink = _Sink(collect_values=collect_values, exists_only=True)
-        for member in iter_union_members(path):
-            if isinstance(member, Bottom):
-                continue
-            assert isinstance(member, LocationPath)
-            self.spawn_steps(member.steps, anchor_id=node_id, anchor_depth=depth,
-                             anchor_is_element=is_element, anchor_tag=tag,
-                             anchor_value=value, conditions=(), sink=sink,
-                             collect_values=collect_values,
-                             anchor_is_attribute=is_attribute)
-        return _ExistsCondition(sink)
-
     def _operand_sink(self, operand: PathExpr, node_id: int, depth: int,
                       is_element: bool, tag: Optional[str],
                       value: Optional[str], collect_values: bool,
-                      is_attribute: bool = False) -> _Sink:
+                      is_attribute: bool = False,
+                      exists_only: bool = False) -> _Sink:
+        """The sink a qualifier operand's matches land in: the shared
+        absolute sink, or a fresh one fed by the operand's union members
+        spawned from the carrier node (``exists_only`` for ``[path]``)."""
         if analysis.is_absolute(operand):
             return self._absolute_sink(operand, collect_values)
-        sink = _Sink(collect_values=collect_values)
+        sink = _Sink(collect_values=collect_values, exists_only=exists_only)
         for member in iter_union_members(operand):
             if isinstance(member, Bottom):
                 continue

@@ -10,7 +10,7 @@ buffering) can be reported side by side.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 
 
 @dataclass
@@ -89,27 +89,9 @@ class StreamStats:
                 + self.max_live_expectations)
 
     def as_row(self) -> dict:
-        """Flat dictionary used by the benchmark reports."""
-        return {
-            "events": self.events,
-            "events_skipped": self.events_skipped,
-            "nodes_seen": self.nodes_seen,
-            "attributes_seen": self.attributes_seen,
-            "nodes_stored": self.nodes_stored,
-            "candidates_buffered": self.candidates_buffered,
-            "max_live_expectations": self.max_live_expectations,
-            "expectations_checked": self.expectations_checked,
-            "dfa_states_materialized": self.dfa_states_materialized,
-            "transition_cache_lookups": self.transition_cache_lookups,
-            "transition_cache_hits": self.transition_cache_hits,
-            "transition_cache_evictions": self.transition_cache_evictions,
-            "transition_cache_flushed": self.transition_cache_flushed,
-            "buffered_value_chars": self.buffered_value_chars,
-            "memory_units": self.memory_units,
-            "results": self.results,
-            "subtrees_emitted": self.subtrees_emitted,
-            "bytes_emitted": self.bytes_emitted,
-        }
+        """Flat dictionary used by the benchmark reports: every field, plus
+        the derived ``memory_units``."""
+        return {**asdict(self), "memory_units": self.memory_units}
 
 
 @dataclass
@@ -147,10 +129,4 @@ class ChurnStats:
 
     def as_row(self) -> dict:
         """Flat dictionary used by the benchmark reports."""
-        return {
-            "subscriptions_added": self.subscriptions_added,
-            "subscriptions_removed": self.subscriptions_removed,
-            "targeted_flushes": self.targeted_flushes,
-            "full_flushes": self.full_flushes,
-            "vacuum_runs": self.vacuum_runs,
-        }
+        return asdict(self)

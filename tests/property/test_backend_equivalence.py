@@ -23,7 +23,11 @@ transition table is warm.
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from repro.streaming import DocumentBroker, SubscriptionIndex
+from repro.streaming import (
+    DocumentBroker,
+    SubscriptionIndex,
+    VerdictDelivery,
+)
 from repro.streaming.dom_baseline import dom_evaluate
 from repro.workloads.queries import (
     attribute_subscription_workload,
@@ -81,8 +85,9 @@ def assert_three_way(document, queries):
             == dom.node_ids, query
         assert dfa[position].matched == expectations[position].matched \
             == dom.matched, query
-    dfa_verdicts = index.evaluate(events, matches_only=True, backend="dfa")
-    exp_verdicts = index.evaluate(events, matches_only=True,
+    dfa_verdicts = index.evaluate(events, delivery=VerdictDelivery(),
+                                  backend="dfa")
+    exp_verdicts = index.evaluate(events, delivery=VerdictDelivery(),
                                   backend="expectations")
     for position, query in enumerate(queries):
         assert dfa_verdicts[position].matched \

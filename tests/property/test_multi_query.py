@@ -10,7 +10,12 @@ shared-trie engine a pure optimization.
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from repro.streaming import SubscriptionIndex, stream_evaluate, stream_matches
+from repro.streaming import (
+    SubscriptionIndex,
+    VerdictDelivery,
+    stream_evaluate,
+    stream_matches,
+)
 from repro.xmlmodel.builder import document_events
 from repro.xpath.cache import QueryCache
 
@@ -67,7 +72,7 @@ def test_matches_only_verdicts_equal_stream_matches(document, queries):
     index = SubscriptionIndex(cache=QueryCache())
     for position, query in enumerate(queries):
         index.add(query, key=position)
-    verdicts = index.evaluate(events, matches_only=True)
+    verdicts = index.evaluate(events, delivery=VerdictDelivery())
     for position, query in enumerate(queries):
         expected = stream_matches(index.subscriptions[position].path, events)
         assert verdicts[position].matched == expected, query

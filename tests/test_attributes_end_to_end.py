@@ -14,7 +14,12 @@ from repro.errors import XPathSyntaxError
 from repro.rewrite import remove_reverse_axes
 from repro.semantics import paths_equivalent_on
 from repro.semantics.evaluator import select_positions
-from repro.streaming import DocumentBroker, SubscriptionIndex, stream_evaluate
+from repro.streaming import (
+    DocumentBroker,
+    SubscriptionIndex,
+    VerdictDelivery,
+    stream_evaluate,
+)
 from repro.workloads.queries import attribute_subscription_workload
 from repro.xmlmodel.builder import build_document, document_events
 from repro.xmlmodel.document import Document, element, text
@@ -217,7 +222,7 @@ class TestStreamingEqualsDom:
         # decided; an [@a="v"] qualifier is decided AT the StartElement that
         # carries the attribute, so the session never consumes the rest.
         index = SubscriptionIndex({"first": '//item[@id="0"]'})
-        matcher = index.matcher(matches_only=True, backend=backend)
+        matcher = index.matcher(delivery=VerdictDelivery(), backend=backend)
         result = matcher.process(feed_events)
         assert result["first"].matched
         assert matcher.halted

@@ -3,7 +3,12 @@
 import pytest
 
 from repro.errors import StreamingError
-from repro.streaming import DocumentBroker, SubscriptionIndex, stream_evaluate
+from repro.streaming import (
+    DocumentBroker,
+    SubscriptionIndex,
+    VerdictDelivery,
+    stream_evaluate,
+)
 from repro.streaming.automaton import (
     BACKEND_ENV_VAR,
     DEFAULT_TRANSITION_CAP,
@@ -441,7 +446,7 @@ class TestQualifierGating:
         feed = item_feed_document(items=20, seed=7)
         events = list(document_events(feed))
         index = SubscriptionIndex({"first": '//item[@id="0"]'})
-        matcher = index.matcher(matches_only=True, backend="dfa")
+        matcher = index.matcher(delivery=VerdictDelivery(), backend="dfa")
         result = matcher.process(events)
         assert result["first"].matched
         assert matcher.halted

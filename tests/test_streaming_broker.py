@@ -3,7 +3,11 @@
 import pytest
 
 from repro.errors import XMLSyntaxError
-from repro.streaming import DocumentBroker, SubscriptionIndex
+from repro.streaming import (
+    DocumentBroker,
+    SubscriptionIndex,
+    VerdictDelivery,
+)
 from repro.streaming.broker import DocumentRecord
 from repro.xmlmodel.builder import document_events
 from repro.xmlmodel.generator import journal_document
@@ -52,13 +56,14 @@ class TestDifferential:
                 assert result[key].matched == fresh[key].matched, (name, key)
 
     def test_verdict_mode_matches_fresh_evaluate(self, backend):
-        broker = DocumentBroker(SUBSCRIPTIONS, matches_only=True,
+        broker = DocumentBroker(SUBSCRIPTIONS, delivery=VerdictDelivery(),
                                 backend=backend)
         index = SubscriptionIndex(SUBSCRIPTIONS)
         for name, document in _documents().items():
             text = to_xml(document, indent=0)
             result = broker.submit(name, _chunked(text, 32))
-            fresh = index.evaluate(list(iter_events(text)), matches_only=True,
+            fresh = index.evaluate(list(iter_events(text)),
+                                   delivery=VerdictDelivery(),
                                    backend=backend)
             for key in SUBSCRIPTIONS:
                 assert result[key].matched == fresh[key].matched, (name, key)
@@ -104,7 +109,7 @@ class TestSessionReuse:
         # The whole document arrives as one chunk: the events tokenized
         # after every verdict settled are counted as skipped.
         broker = DocumentBroker({"j": "/descendant::journal"},
-                                matches_only=True)
+                                delivery=VerdictDelivery())
         big = journal_document(journals=30, articles_per_journal=3,
                                authors_per_article=2, seed=7)
         text = to_xml(big, indent=0)
@@ -124,7 +129,7 @@ class TestSessionReuse:
         # All subscriptions decided early: the session halts mid-document and
         # must still come back clean for the next submit.
         broker = DocumentBroker({"j": "/descendant::journal"},
-                                matches_only=True, backend=backend)
+                                delivery=VerdictDelivery(), backend=backend)
         big = journal_document(journals=30, articles_per_journal=3,
                                authors_per_article=2, seed=7)
         result = broker.submit("big", _chunked(to_xml(big, indent=0), 64))
@@ -156,15 +161,15 @@ class TestSessionReuse:
         assert broker.session is session
 
     def test_adding_a_subscription_keeps_the_session(self, backend):
-        # add()/add_many() update the index incrementally and the warm
-        # session syncs at the next checkout, exactly like subscribe().
+        # Registering on the broker or directly on its index updates the
+        # index incrementally; the warm session syncs at the next checkout.
         document = "<journal><title>t</title><name>n</name></journal>"
         broker = DocumentBroker({"names": "/descendant::name"},
                                 backend=backend)
         broker.submit("a", document)
         session = broker.session
-        broker.add("/descendant::title", key="titles")
-        broker.add_many({"journals": "/child::journal"})
+        broker.subscribe("titles", "/descendant::title")
+        broker.index.add_many({"journals": "/child::journal"})
         result = broker.submit("b", document)
         assert broker.session is session
         fresh = DocumentBroker({"names": "/descendant::name",
@@ -174,18 +179,6 @@ class TestSessionReuse:
         assert [(r.key, r.matched, r.node_ids) for r in result] \
             == [(r.key, r.matched, r.node_ids) for r in fresh]
         assert result["titles"].matched and result["journals"].matched
-
-    def test_externally_supplied_index_cannot_be_mutated_through_broker(self):
-        # A caller-supplied index may be shared with other brokers, which
-        # rely on it staying immutable; add() must go through the index
-        # before the brokers are built.
-        index = SubscriptionIndex({"names": "/descendant::name"})
-        broker = DocumentBroker(index)
-        with pytest.raises(ValueError, match="externally supplied"):
-            broker.add("/descendant::title", key="titles")
-        with pytest.raises(ValueError, match="externally supplied"):
-            broker.add_many({"titles": "/descendant::title"})
-        assert len(index) == 1
 
     def test_malformed_document_leaves_a_working_broker(self, backend):
         broker = DocumentBroker({"names": "/descendant::name"},
@@ -300,7 +293,7 @@ class TestLiveChurn:
         from repro.streaming.delivery import SubstreamDelivery
         kwargs = {"backend": backend}
         if mode == "verdicts":
-            kwargs["matches_only"] = True
+            kwargs["delivery"] = VerdictDelivery()
         elif mode == "substream":
             kwargs["delivery"] = SubstreamDelivery()
         broker = DocumentBroker({"names": "/descendant::name"}, **kwargs)

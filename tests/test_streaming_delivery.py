@@ -5,9 +5,11 @@ substream payload extraction — plus the shared single-pass tee mechanics:
 overlapping windows sharing one region by reference, per-slice render
 caching, leaf (text/attribute) captures, whole-document root captures,
 streaming-callback routing order, deferred emission behind undecided
-conditions, and the broker-level plumbing (``delivery`` / ``on_payload``
-parameters, payload accounting, the ``history_limit=0`` retention edge).
+conditions, and the broker-level plumbing (the ``delivery`` parameter,
+payload accounting, the ``history_limit=0`` retention edge).
 """
+
+import inspect
 
 import pytest
 
@@ -20,6 +22,7 @@ from repro.streaming import (
     VerdictDelivery,
 )
 from repro.streaming.delivery import SubtreeTee, resolve_delivery
+from repro.streaming.engine import MultiMatcher
 from repro.xmlmodel.builder import document_events
 from repro.xmlmodel.document import Document, element, text
 from repro.xmlmodel.events import EndElement, StartElement, Text
@@ -81,29 +84,22 @@ class TestResolveDelivery:
     def test_default_is_node_ids(self):
         assert isinstance(resolve_delivery(), NodeIdDelivery)
 
-    def test_matches_only_resolves_to_verdict(self):
-        resolved = resolve_delivery(matches_only=True)
-        assert isinstance(resolved, VerdictDelivery)
-        assert resolved.matches_only
-
     def test_explicit_delivery_passes_through(self):
         delivery = SubstreamDelivery()
         assert resolve_delivery(delivery) is delivery
         assert delivery.captures and not delivery.matches_only
 
-    def test_matches_only_agrees_with_verdict_delivery(self):
-        delivery = VerdictDelivery()
-        assert resolve_delivery(delivery, matches_only=True) is delivery
-
-    def test_matches_only_contradicts_non_verdict_delivery(self):
-        with pytest.raises(ValueError):
-            resolve_delivery(NodeIdDelivery(), matches_only=True)
-        with pytest.raises(ValueError):
-            resolve_delivery(SubstreamDelivery(), matches_only=True)
-
     def test_rejects_non_delivery(self):
         with pytest.raises(TypeError):
             resolve_delivery("substream")
+
+    @pytest.mark.parametrize("entry_point", [
+        MultiMatcher, SubscriptionIndex.matcher, SubscriptionIndex.evaluate,
+        DocumentBroker, resolve_delivery], ids=lambda f: f.__qualname__)
+    def test_delivery_is_the_only_spelling(self, entry_point):
+        parameters = inspect.signature(entry_point).parameters
+        assert "delivery" in parameters
+        assert not {"matches_only", "on_payload"} & set(parameters)
 
 
 class TestSubtreeTee:
@@ -330,9 +326,9 @@ class TestVerdictDelivery:
         index.add("//missing", key="nobody")
         via_delivery = index.evaluate(events, backend=backend,
                                       delivery=VerdictDelivery())
-        via_flag = index.evaluate(events, backend=backend, matches_only=True)
+        matching = index.matching(events, backend=backend)
         for key in ("journals", "nobody"):
-            assert via_delivery[key].matched == via_flag[key].matched
+            assert via_delivery[key].matched == (key in matching)
             assert via_delivery[key].node_ids == []
             assert via_delivery[key].payload is None
 
@@ -362,35 +358,14 @@ class TestBrokerDelivery:
         index.add("//title", key="titles")
         mailbox = []
         broker = DocumentBroker(
-            index,
-            on_payload=lambda key, nid, data: mailbox.append((key, data)))
+            index, delivery=SubstreamDelivery(
+                on_payload=lambda key, nid, data: mailbox.append((key, data))))
         broker.submit("doc-1", self._chunks(_catalogue()))
         broker.submit("doc-2", self._chunks(_catalogue()))
         assert len(mailbox) == 4  # two titles per document
         assert all(key == "titles" for key, _ in mailbox)
         assert broker.stats.subtrees_emitted == 4
         assert broker.stats.bytes_emitted == sum(len(d) for _, d in mailbox)
-
-    def test_on_payload_upgrades_callbackless_substream_delivery(self):
-        seen = []
-        broker = DocumentBroker({"titles": "//title"},
-                                delivery=SubstreamDelivery(),
-                                on_payload=lambda key, nid, data:
-                                seen.append(data))
-        broker.submit("doc", self._chunks(_catalogue()))
-        assert seen  # the callback, not buffering, won
-
-    def test_on_payload_conflicts_with_foreign_callback(self):
-        with pytest.raises(ValueError):
-            DocumentBroker(
-                {"titles": "//title"},
-                delivery=SubstreamDelivery(on_payload=lambda *a: None),
-                on_payload=lambda *a: None)
-
-    def test_matches_only_conflicts_with_substream(self):
-        with pytest.raises(ValueError):
-            DocumentBroker({"titles": "//title"}, matches_only=True,
-                           delivery=SubstreamDelivery())
 
     def test_history_limit_zero_disables_retention(self):
         # The eviction edge: maxlen=0 keeps *no* records while the

@@ -6,6 +6,7 @@ from repro.datasets import figure1_document
 from repro.errors import StreamingError
 from repro.streaming import (
     SubscriptionIndex,
+    VerdictDelivery,
     dom_evaluate,
     stream_evaluate,
     stream_matches,
@@ -71,7 +72,8 @@ class TestSubscriptionIndex:
     def test_matches_only_verdicts(self, events, backend):
         queries = dict(OVERLAPPING, missing="/descendant::nosuchtag")
         index = SubscriptionIndex(queries)
-        verdicts = index.evaluate(events, matches_only=True, backend=backend)
+        verdicts = index.evaluate(events, delivery=VerdictDelivery(),
+                                  backend=backend)
         for key, query in queries.items():
             assert verdicts[key].matched == stream_matches(
                 compile_query(query), events, backend=backend)
@@ -174,7 +176,8 @@ class TestIndexedDispatch:
             {"arts": "/descendant::journal/child::article"})
         full = index.matcher(backend="expectations")
         full.process(events)
-        verdicts = index.matcher(matches_only=True, backend="expectations")
+        verdicts = index.matcher(delivery=VerdictDelivery(),
+                                 backend="expectations")
         result = verdicts.process(events)
         assert result["arts"].matched
         assert (verdicts.stats.expectations_created

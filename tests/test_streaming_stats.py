@@ -1,13 +1,24 @@
 """Unit tests of the resource accounting record (repro.streaming.stats)."""
 
+import dataclasses
+
+import pytest
+
 from repro.streaming import stream_evaluate
+from repro.streaming.broker import BrokerStats
+from repro.streaming.delivery import (
+    NodeIdDelivery,
+    SubstreamDelivery,
+    VerdictDelivery,
+)
 from repro.streaming.engine import SubscriptionIndex
 from repro.streaming.matcher import StreamingMatcher
-from repro.streaming.stats import StreamStats
+from repro.streaming.stats import ChurnStats, StreamStats
+from repro.workloads.queries import differential_query_pool
 from repro.xmlmodel.builder import document_events
 from repro.xmlmodel.document import Document, element, text
 from repro.xmlmodel.events import EndDocument, StartDocument
-from repro.xmlmodel.generator import journal_document
+from repro.xmlmodel.generator import item_feed_document, journal_document
 from repro.xpath.parser import parse_xpath
 
 
@@ -35,6 +46,11 @@ class TestStreamStats:
         row = StreamStats(subtrees_emitted=4, bytes_emitted=120).as_row()
         assert row["subtrees_emitted"] == 4
         assert row["bytes_emitted"] == 120
+
+    @pytest.mark.parametrize("cls", [StreamStats, ChurnStats, BrokerStats])
+    def test_as_row_carries_every_dataclass_field(self, cls):
+        assert set(cls().as_row()) >= {
+            field.name for field in dataclasses.fields(cls)}
 
 
 MONOTONIC_COUNTERS = ("events", "nodes_seen", "max_depth",
@@ -157,7 +173,8 @@ class TestStatsInvariants:
     def test_verdict_run_counters_are_consistent(self, backend):
         events = list(document_events(self._document()))
         index = SubscriptionIndex(self.QUERIES)
-        result = index.evaluate(events, matches_only=True, backend=backend)
+        result = index.evaluate(events, delivery=VerdictDelivery(),
+                                backend=backend)
         assert_internally_consistent(result.stats, total_events=len(events))
 
     def test_single_query_counters_are_consistent(self, backend):
@@ -210,7 +227,7 @@ class TestEventsSkipped:
     def test_verdict_only_session_stops_early(self):
         events = self._events()
         index = SubscriptionIndex(self.QUERIES)
-        result = index.evaluate(events, matches_only=True)
+        result = index.evaluate(events, delivery=VerdictDelivery())
         stats = result.stats
         # Both subscriptions are satisfied within the first journal, so the
         # rest of the large document is never consumed.
@@ -230,14 +247,15 @@ class TestEventsSkipped:
         events = self._events()
         queries = dict(self.QUERIES, missing="/descendant::nosuchtag")
         stats = SubscriptionIndex(queries).evaluate(
-            events, matches_only=True).stats
+            events, delivery=VerdictDelivery()).stats
         # One subscription stays undecided until end of stream: no skipping.
         assert stats.events == len(events)
         assert stats.events_skipped == 0
 
     def test_feeding_a_halted_matcher_counts_skips(self):
         events = self._events()
-        matcher = SubscriptionIndex(self.QUERIES).matcher(matches_only=True)
+        matcher = SubscriptionIndex(self.QUERIES).matcher(
+            delivery=VerdictDelivery())
         for event in events:
             matcher.feed(event)
         assert matcher.halted
@@ -245,3 +263,60 @@ class TestEventsSkipped:
         before = matcher.stats.events_skipped
         matcher.feed(events[-1])
         assert matcher.stats.events_skipped == before + 1
+
+
+# Work done by the engine — not just its answers — for one query pool over
+# one fixed document, recorded before the `step_matched` hand-off refactor.
+# A change that builds conditions behind satisfied sinks, spawns twice or
+# stops pruning moves these totals while every result stays equal.
+POOL_DOCUMENTS = {
+    "journal": (
+        lambda: journal_document(journals=3, articles_per_journal=2,
+                                 authors_per_article=2, with_attributes=True,
+                                 seed=7),
+        dict(tags=("journal", "article", "title", "name"),
+             attribute_names=("id", "tier"),
+             attribute_values=("j1", "gold", "silver"))),
+    "item_feed": (
+        lambda: item_feed_document(items=12, seed=0),
+        dict(tags=("item", "title", "price", "feed"),
+             attribute_names=("id", "category", "currency"),
+             attribute_values=("3", "books", "EUR", "USD"))),
+}
+
+POOL_COUNTERS = ("expectations_created", "expectations_checked",
+                 "conditions_created", "candidates_buffered",
+                 "max_live_expectations")
+
+#: (document, backend, delivery) -> POOL_COUNTERS totals.
+POOL_GOLDEN = {
+    ("journal", "dfa", VerdictDelivery): (428, 195, 318, 247, 53),
+    ("journal", "dfa", NodeIdDelivery): (514, 210, 364, 810, 67),
+    ("journal", "dfa", SubstreamDelivery): (514, 210, 364, 810, 67),
+    ("journal", "expectations", VerdictDelivery): (1403, 2383, 318, 247, 304),
+    ("journal", "expectations", NodeIdDelivery): (2552, 7562, 370, 3475, 649),
+    ("journal", "expectations", SubstreamDelivery):
+        (2552, 7562, 370, 3475, 649),
+    ("item_feed", "dfa", VerdictDelivery): (491, 378, 363, 389, 63),
+    ("item_feed", "dfa", NodeIdDelivery): (633, 475, 482, 1127, 82),
+    ("item_feed", "dfa", SubstreamDelivery): (633, 475, 482, 1127, 82),
+    ("item_feed", "expectations", VerdictDelivery):
+        (1511, 2543, 363, 389, 295),
+    ("item_feed", "expectations", NodeIdDelivery):
+        (2650, 7723, 494, 3683, 647),
+    ("item_feed", "expectations", SubstreamDelivery):
+        (2650, 7723, 494, 3683, 647),
+}
+
+
+@pytest.mark.parametrize(
+    "document,backend,delivery", list(POOL_GOLDEN),
+    ids=lambda value: getattr(value, "__name__", value))
+def test_pool_level_work_counters_are_pinned(document, backend, delivery):
+    build, vocabulary = POOL_DOCUMENTS[document]
+    index = SubscriptionIndex(
+        differential_query_pool(120, seed=3, **vocabulary))
+    stats = index.evaluate(list(document_events(build())), backend=backend,
+                           delivery=delivery()).stats
+    assert tuple(getattr(stats, name) for name in POOL_COUNTERS) == \
+        POOL_GOLDEN[(document, backend, delivery)]

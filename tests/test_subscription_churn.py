@@ -17,7 +17,11 @@ engine has no cache to flush, so churn there is just a version bump.
 import pytest
 
 from repro.errors import StreamingError
-from repro.streaming import DocumentBroker, SubscriptionIndex
+from repro.streaming import (
+    DocumentBroker,
+    SubscriptionIndex,
+    VerdictDelivery,
+)
 from repro.xmlmodel.parser import iter_events
 
 N = 80  # large enough that one add touches well under TARGETED_FLUSH_RATIO
@@ -182,7 +186,7 @@ class TestLiveSessions:
     def test_matches_only_sessions_follow_churn(self, backend):
         index = _index()
         events = _document()
-        matcher = index.matcher(matches_only=True, backend=backend)
+        matcher = index.matcher(delivery=VerdictDelivery(), backend=backend)
         matcher.process(events)
         index.add_subscription("late", "//t2")
         index.remove_subscription("s3")
