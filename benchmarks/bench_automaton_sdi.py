@@ -131,7 +131,7 @@ def _bench(count, report):
         "dfa_states_materialized_warm": dfa_stats.dfa_states_materialized,
         "transition_cache_lookups": dfa_stats.transition_cache_lookups,
         "transition_cache_hits": dfa_stats.transition_cache_hits,
-        "transition_cache_evictions": dfa_stats.transition_cache_evictions,
+        "transition_cache_flushed": dfa_stats.transition_cache_flushed,
         "expectations_checked_per_event_expectations":
             round(exp_matcher.stats.expectations_checked / events, 3),
         "expectations_checked_per_event_dfa":

@@ -135,9 +135,9 @@ def main() -> None:
     # lookup regardless of subscription count; qualifier-carrying
     # subscriptions ([@tier="gold"], [child::price]...) run the expectation
     # machinery only at elements the DFA proved structurally viable.  The
-    # transition table is bounded (SubscriptionIndex(dfa_transition_cap=...),
-    # default 65536 entries; overflow falls back to on-the-fly subset
-    # construction) and stays warm across a broker session's documents —
+    # cache is bounded (SubscriptionIndex(dfa_transition_cap=...), default
+    # 65536 states + transitions; at the bound it is flushed and rebuilt
+    # lazily) and stays warm across a broker session's documents —
     # reuse the broker, not fresh matchers, to amortize it.
     # benchmarks/bench_automaton_sdi.py measures >= 3x events/sec over the
     # expectation engine at N=1000 low-overlap subscriptions

@@ -129,21 +129,21 @@ document/query pool.
 ``self``/``child``/``descendant``/``descendant-or-self``/``attribute``
 steps, plus ``following-sibling``/``following`` steps as close-event-armed
 *sibling windows* — into NFA fragments merged trie-style into one shared
-automaton and materializes DFA states lazily: once the transition table
-is warm a StartElement costs one dictionary lookup plus a stack push,
+automaton and materializes DFA states lazily: once the states' transition
+tables are warm a StartElement costs one dictionary lookup plus a stack push,
 *independent of the number of subscriptions*.  Structurally decided
 subscriptions (no qualifiers) are answered by DFA accept sets alone;
 qualifier-carrying ones run the expectation machinery only past a DFA
 *gate* — i.e. only on structurally-viable elements; a member the automaton
 cannot carry at all (alternative explosion) is gated at the document root.
-Memory is bounded on both axes: the transition table holds at most
-``SubscriptionIndex(dfa_transition_cap=...)`` entries (default 65536,
-FIFO eviction with on-the-fly subset construction past it —
-``StreamStats.transition_cache_evictions``), and the materialized state
-set itself is flushed and lazily rebuilt when it outgrows the same bound
+Memory has one bound: materialized states plus cached transitions number
+at most ``SubscriptionIndex(dfa_transition_cap=...)`` (default 65536); at
+the bound the automaton forgets them all and rebuilds lazily
 (``StreamStats.transition_cache_flushed``) — so even a feed of documents
 with ever-new tag combinations cannot grow the automaton without limit.
-A broker session keeps the warmed table across documents, which is where
+Runs hold the states themselves, so a flush — even one in the middle of an
+event — needs nothing from a live session.
+A broker session keeps the warmed states across documents, which is where
 the ≥3x events/sec of ``benchmarks/bench_automaton_sdi.py`` comes from.
 
 ``"expectations"`` is the *semantics reference*: no automaton, every path
@@ -164,12 +164,13 @@ subscribes or unsubscribes, so a built :class:`SubscriptionIndex` is
 * :meth:`SubscriptionIndex.add_subscription(key, query)
   <SubscriptionIndex.add_subscription>` threads the new query into the
   built automaton incrementally — the new NFA fragments merge into it,
-  followed by a **targeted invalidation**: the epoch bumps, but only cached
-  transitions whose NFA-state sets intersect the touched fragments are
-  dropped (every materialized DFA state, and the state ids live runs hold,
-  stay valid).  Only when the touched fragments reach more than
-  ``TARGETED_FLUSH_RATIO`` of the materialized states does it fall back to
-  the wholesale flush (``ChurnStats.full_flushes``).
+  followed by a **targeted invalidation**: only the materialized DFA states
+  whose NFA-state sets intersect the touched fragments are patched (accept
+  info recomputed, their own cached transitions dropped); every state, and
+  with it every live run's stack, stays valid.  Only when the touched
+  fragments reach more than ``TARGETED_FLUSH_RATIO`` of the materialized
+  states does it fall back to the wholesale flush
+  (``ChurnStats.full_flushes``).
 * :meth:`SubscriptionIndex.remove_subscription(key)
   <SubscriptionIndex.remove_subscription>` is **ordinal retirement**: the
   slot stays (no ordinal shifts, so no session rebuild) and deliveries for
@@ -180,11 +181,10 @@ subscribes or unsubscribes, so a built :class:`SubscriptionIndex` is
   0.25) of the index, or explicitly in a maintenance window.  A vacuum
   remaps ordinals and bumps the index *generation*; existing sessions must
   then be rebuilt (the broker does this at its next checkout).
-* Live sessions follow adds exactly as they follow a cache flush: the index
-  *version* counter bumps on every churn operation, and
-  :meth:`MultiMatcher.sync` extends a session in place — so a mid-document
-  add takes effect at the next document, while removals take effect
-  immediately.  :meth:`DocumentBroker.subscribe` / ``unsubscribe`` wire
+* Live sessions follow adds between documents: the index *version* counter
+  bumps on every churn operation, and :meth:`MultiMatcher.sync` extends a
+  session in place — so a mid-document add takes effect at the next
+  document, while removals take effect immediately.  :meth:`DocumentBroker.subscribe` / ``unsubscribe`` wire
   this into the serving layer between submits, for all three delivery
   modes, and are safe on a shared index (each broker syncs at its own next
   submit).  ``index.churn`` (:class:`~repro.streaming.stats.ChurnStats`)

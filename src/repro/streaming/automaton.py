@@ -25,11 +25,12 @@ when the anchor's parent closes, because the window lives only in the
 parent's stack entry.  Together they make a deterministic run over the
 event stream:
 
-* each **DFA state** is a frozenset of NFA states, interned on first use and
-  cached in a bounded transition table keyed by ``(state_id, tag)``; when
-  the table is full the automaton falls back to on-the-fly subset
-  construction for the evicted entries (``StreamStats`` counts
-  materializations, lookups, hits, FIFO evictions and bulk flushes);
+* each **DFA state** is an object interned by its frozenset of NFA states
+  on first use, carrying its accept info and its own transition tables;
+  runs hold the states themselves.  Interned states plus cached transitions
+  share one bound, past which the automaton forgets everything and rebuilds
+  lazily (``StreamStats`` counts materializations, lookups, hits and
+  flushed transitions);
 * NFA fragments are shared **trie-style**: alternatives and union members
   with a common spine prefix thread through one fragment (the builder memoizes
   ``(state, item)`` pairs) and carry per-member accept/gate tags at their
@@ -58,8 +59,8 @@ bypasses this module: every path is spawned whole from the document root.
 
 The automaton is shared — one compiled instance serves every matcher a
 :class:`SubscriptionIndex` hands out, and a reused broker session keeps the
-warmed transition table across documents (``reset()`` rewinds only the
-per-document state stack) — but no longer immutable: live subscription
+warmed states across documents (``reset()`` rewinds only the per-document
+state stack) — but no longer immutable: live subscription
 churn threads new NFA fragments into the retained builder
 (:meth:`SubscriptionAutomaton.add_member`) and repairs the materialized DFA
 view with a *targeted* invalidation (only states intersecting the touched
@@ -93,9 +94,9 @@ BACKEND_ENV_VAR = "REPRO_STREAMING_BACKEND"
 #: expectation engine (the differential-testing semantics reference).
 BACKENDS = ("expectations", "dfa")
 
-#: Default bound of the shared transition table (element + attribute
-#: entries).  Generous for real vocabularies; small enough that a pathological
-#: tag stream cannot grow the table without limit.
+#: Default bound of the shared cache (materialized states + cached
+#: transitions).  Generous for real vocabularies; small enough that a
+#: pathological tag stream cannot grow the automaton without limit.
 DEFAULT_TRANSITION_CAP = 65536
 
 #: Live churn: an incremental insertion (:meth:`SubscriptionAutomaton
@@ -199,10 +200,9 @@ class _NfaBuilder:
         #: appear in any previously materialized DFA set, so the
         #: intersection ignores them naturally.
         self.touched: set = set()
-        #: Whether any attribute edge / sibling window exists yet — set
-        #: where the rule is created, never cleared (fragments only grow).
+        #: Whether any attribute edge exists yet — set where the rule is
+        #: created, never cleared (fragments only grow).
         self.has_attribute_rules = False
-        self.has_window_rules = False
 
     def _new(self) -> int:
         self.states.append(_NfaState())
@@ -250,7 +250,6 @@ class _NfaBuilder:
         — via an armer state — at text descendants, whose windows arm at
         the text event itself because text nodes have no close event.
         """
-        self.has_window_rules = True
         window = self._new()
         target = self._new()
         self._edge(window, test, target)
@@ -351,23 +350,54 @@ def compile_subscription_automaton(
 # The lazy DFA
 # ---------------------------------------------------------------------------
 
+class _DfaState:
+    """One materialized DFA state: the NFA-state set it stands for, what a
+    node in it delivers, gates and arms, and its own transition tables.
+    Self-contained on purpose: run stacks hold the states themselves, so a
+    state the automaton has forgotten (cache flush) keeps working for the
+    runs still holding it.  The dead state is the one with an empty ``nfa``.
+    """
+
+    __slots__ = ("nfa", "deliver", "gates", "arm_sib", "arm_fol", "elem",
+                 "attr", "text")
+
+    def __init__(self, nfa: FrozenSet[int], accept_info):
+        self.nfa = nfa
+        #: Deliver ordinals and gates (merged, deduped), and the windows
+        #: armed when a node in this state closes.
+        self.deliver, self.gates, self.arm_sib, self.arm_fol = accept_info
+        #: Cached successors: by element tag, by attribute name, on text.
+        self.elem: Dict[str, "_DfaState"] = {}
+        self.attr: Dict[str, "_DfaState"] = {}
+        self.text: Optional["_DfaState"] = None
+
+    def forget_transitions(self) -> int:
+        """Drop the cached successors; returns how many there were."""
+        dropped = len(self.elem) + len(self.attr) + (self.text is not None)
+        self.elem.clear()
+        self.attr.clear()
+        self.text = None
+        return dropped
+
+
 class SubscriptionAutomaton:
     """Lazily determinized view of the shared NFA.
 
-    DFA states (frozensets of NFA states) are interned on first use;
-    transitions are cached in a bounded table keyed by ``(state_id, tag)``.
-    The instance is shared by every matcher of one subscription set: the
-    warmed table survives ``reset()`` between documents, which is where the
+    DFA states (:class:`_DfaState`, one per frozenset of NFA states) are
+    interned on first use and carry their own transition tables.  The
+    instance is shared by every matcher of one subscription set: the warmed
+    states survive ``reset()`` between documents, which is where the
     O(1)-per-event steady state comes from.
 
-    *Both* caches are bounded.  The transition tables evict FIFO past
-    ``transition_cap``; the interned state set itself is **flushed** — and
-    lazily rebuilt — when it outgrows its own bound (``state_cap``,
-    derived from ``transition_cap``), so a long-lived session serving
-    documents with ever-new ancestor-chain tag combinations cannot grow
-    memory without limit.  A flush bumps :attr:`epoch`; live
-    :class:`AutomatonRun`\\ s notice and resync their state stack from the
-    engine's open-element stack (O(depth), and only between events).
+    The cache has **one** bound, checked on the miss path only
+    (:meth:`intern`): when interned states plus cached transitions reach
+    ``transition_cap`` the automaton *flushes* — forgets the intern table
+    and every state's transitions — and rebuilds lazily, so a feed of
+    ever-new ancestor-chain tag combinations cannot grow memory without
+    limit.  Runs hold states, not ids, so a flush needs nothing from them:
+    a state still on a live stack keeps answering, finds its successors in
+    the fresh table, and is garbage once popped (at most *depth* such
+    orphans per run; they cache nothing, see :meth:`_admit`).
     """
 
     def __init__(self, builder: _NfaBuilder,
@@ -378,49 +408,26 @@ class SubscriptionAutomaton:
         self._builder = builder
         self._nfa = builder.states
         self._cap = max(16, int(transition_cap))
-        #: Materialized-state bound: generous enough that flushes are rare
-        #: for real vocabularies, small enough to actually bound memory.
-        self._state_cap = max(64, self._cap)
-        self._evictions = 0
-        self._flushes = 0
-        self._targeted_invalidations = 0
-        self._full_invalidations = 0
-        #: Bumped on every flush; runs holding state ids resync on mismatch.
-        self.epoch = 0
+        #: Lifetime diagnostics, reported by :meth:`describe`.
+        self._counts = {"flushes": 0, "targeted_invalidations": 0,
+                        "full_invalidations": 0}
         self.has_attribute_rules = builder.has_attribute_rules
-        self.has_window_rules = builder.has_window_rules
-        self._reset_caches()
+        self._states: Dict[FrozenSet[int], _DfaState] = {}
+        self._forget()
 
-    def _reset_caches(self) -> None:
-        self._set_ids: Dict[FrozenSet[int], int] = {}
-        self._sets: List[FrozenSet[int]] = []
-        #: Per DFA state: (deliver ordinals, gates), merged and deduped.
-        self._deliver: List[Tuple[int, ...]] = []
-        self._gates: List[Tuple[_Gate, ...]] = []
-        #: Per DFA state: windows armed when a node in this state closes.
-        self._arm_sib: List[FrozenSet[int]] = []
-        self._arm_fol: List[FrozenSet[int]] = []
-        self._elem: Dict[Tuple[int, str], int] = {}
-        self._text: Dict[int, int] = {}
-        self._attr: Dict[Tuple[int, str], int] = {}
-        # Interning order is deterministic, so these ids survive flushes.
-        self.dead_state = self._intern(frozenset(), None)
-        self.start_state = self._intern(frozenset((0,)), None)
-
-    def maybe_flush(self, stats) -> bool:
-        """Flush every materialized state and cached transition when the
-        state set outgrew its bound.  Called by runs *between* events, so
-        no state id handed out within an event is ever invalidated."""
-        if len(self._sets) <= self._state_cap:
-            return False
-        if stats is not None:
-            stats.transition_cache_flushed += (len(self._elem)
-                                               + len(self._attr)
-                                               + len(self._text))
-        self._flushes += 1
-        self.epoch += 1
-        self._reset_caches()
-        return True
+    def _forget(self) -> None:
+        """Forget every materialized state and cached transition.  States a
+        run still holds stay usable but are no longer interned."""
+        for state in self._states.values():
+            state.forget_transitions()
+        dead, start = frozenset(), frozenset((0,))
+        self._states = {key: _DfaState(key, self._accept_info(key))
+                        for key in (dead, start)}
+        #: Where every run starts: NFA state 0, whose accept info is the
+        #: root accepts ("/") and the root gates.
+        self.start = self._states[start]
+        #: Transitions cached across all interned states.
+        self._cached = 0
 
     # -- live churn --------------------------------------------------------
     def add_member(self, ordinal: int, path: PathExpr, churn=None) -> None:
@@ -429,63 +436,40 @@ class SubscriptionAutomaton:
         The incremental mirror of :func:`compile_subscription_automaton`:
         the retained builder inserts the path's union members trie-style
         (shared prefixes resolve to the already-existing chain states), then
-        the materialized DFA view is repaired by a *targeted* invalidation —
-        only states whose NFA sets intersect the touched fragments are
-        patched, everything else (including the state ids live runs hold on
-        their stacks) survives.  Above :data:`TARGETED_FLUSH_RATIO` the
-        repair degenerates to the wholesale flush live runs already resync
-        from.  ``churn`` is the index's
-        :class:`~repro.streaming.stats.ChurnStats`.
+        the materialized DFA view is repaired by a *targeted* invalidation.
+        A state's accept info and cached transitions are stale exactly when
+        its NFA set intersects the touched NFA states: new fragments hang
+        off touched states, and fresh states cannot occur in any previously
+        interned set.  Each affected state recomputes its accept info in
+        place and drops its own transitions (lazily rebuilt); the objects —
+        and with them every live run stack — stay valid.  (A flushed state
+        some run still holds goes unrepaired, and may: the new member
+        reaches a session's sinks only from its next document, which starts
+        over from :attr:`start`.)  Above :data:`TARGETED_FLUSH_RATIO` the
+        repair degenerates to forgetting everything.  ``churn`` is the
+        index's :class:`~repro.streaming.stats.ChurnStats`.
         """
         builder = self._builder
-        builder.touched.clear()
         _compile_path(builder, ordinal, path)
-        touched = frozenset(builder.touched)
-        builder.touched.clear()
+        touched, builder.touched = builder.touched, set()
         self.has_attribute_rules = builder.has_attribute_rules
-        self.has_window_rules = builder.has_window_rules
-        self._invalidate_touched(touched, churn)
-
-    def _invalidate_touched(self, touched: FrozenSet[int], churn) -> None:
-        """Repair the materialized DFA view after an NFA mutation.
-
-        A cached transition or accept tuple is stale exactly when its
-        *source* set intersects the touched NFA states: new fragments hang
-        off touched states, and fresh states cannot occur in any previously
-        interned set.  Stale accept info is recomputed in place (ids and
-        frozensets stay valid — live run stacks are untouched); stale
-        transitions are dropped and lazily rebuilt.  The epoch still bumps
-        so live runs resync their stacks between events, exactly as after a
-        wholesale flush.
-        """
-        if not touched:
-            return
-        affected = [state_id for state_id, key in enumerate(self._sets)
-                    if key & touched]
+        affected = [state for state in self._states.values()
+                    if not touched.isdisjoint(state.nfa)]
         if not affected:
             return
-        if len(affected) > TARGETED_FLUSH_RATIO * len(self._sets):
-            self._full_invalidations += 1
+        if len(affected) > TARGETED_FLUSH_RATIO * len(self._states):
+            self._counts["full_invalidations"] += 1
             if churn is not None:
                 churn.full_flushes += 1
-            self.epoch += 1
-            self._reset_caches()
+            self._forget()
             return
-        stale = set(affected)
-        for state_id in affected:
-            (self._deliver[state_id], self._gates[state_id],
-             self._arm_sib[state_id],
-             self._arm_fol[state_id]) = self._accept_info(
-                self._sets[state_id])
-            self._text.pop(state_id, None)
-        self._elem = {key: value for key, value in self._elem.items()
-                      if key[0] not in stale}
-        self._attr = {key: value for key, value in self._attr.items()
-                      if key[0] not in stale}
-        self._targeted_invalidations += 1
+        for state in affected:
+            (state.deliver, state.gates, state.arm_sib,
+             state.arm_fol) = self._accept_info(state.nfa)
+            self._cached -= state.forget_transitions()
+        self._counts["targeted_invalidations"] += 1
         if churn is not None:
             churn.targeted_flushes += 1
-        self.epoch += 1
 
     # -- state interning ---------------------------------------------------
     def _accept_info(self, key: FrozenSet[int]):
@@ -494,141 +478,103 @@ class SubscriptionAutomaton:
         state is interned, and recomputed in place by a targeted
         invalidation when an incremental insertion changed a member state's
         rules."""
-        deliver: List[int] = []
-        gates: List[_Gate] = []
-        arm_sib = set()
-        arm_fol = set()
-        seen_ordinals = set()
-        seen_gates = set()
-        for q in sorted(key):
-            nfa_state = self._nfa[q]
-            for ordinal in nfa_state.deliver:
-                if ordinal not in seen_ordinals:
-                    seen_ordinals.add(ordinal)
-                    deliver.append(ordinal)
-            for gate in nfa_state.gates:
-                if gate not in seen_gates:
-                    seen_gates.add(gate)
-                    gates.append(gate)
-            arm_sib.update(nfa_state.arm_sib)
-            arm_fol.update(nfa_state.arm_fol)
-        return (tuple(deliver), tuple(gates), frozenset(arm_sib),
-                frozenset(arm_fol))
+        members = [self._nfa[q] for q in sorted(key)]
+        return (
+            tuple(dict.fromkeys(o for m in members for o in m.deliver)),
+            tuple(dict.fromkeys(g for m in members for g in m.gates)),
+            frozenset(w for m in members for w in m.arm_sib),
+            frozenset(w for m in members for w in m.arm_fol))
 
-    def _intern(self, key: FrozenSet[int], stats) -> int:
-        state_id = self._set_ids.get(key)
-        if state_id is not None:
-            return state_id
-        state_id = len(self._sets)
-        self._set_ids[key] = state_id
-        self._sets.append(key)
-        deliver, gates, arm_sib, arm_fol = self._accept_info(key)
-        self._deliver.append(deliver)
-        self._gates.append(gates)
-        self._arm_sib.append(arm_sib)
-        self._arm_fol.append(arm_fol)
-        if stats is not None:
+    def intern(self, key: FrozenSet[int], stats) -> _DfaState:
+        """The state of an NFA-state set (successors, window arming),
+        materialized on first use.  This is the miss path, and the one
+        place the cache bound is checked: at the bound, flush first."""
+        if len(self._states) + self._cached >= self._cap:
+            stats.transition_cache_flushed += self._cached
+            self._counts["flushes"] += 1
+            self._forget()
+        state = self._states.get(key)
+        if state is None:
+            state = self._states[key] = _DfaState(key, self._accept_info(key))
             stats.dfa_states_materialized += 1
-        return state_id
+        return state
 
-    def intern_set(self, key: FrozenSet[int], stats) -> int:
-        """Id of an explicit NFA-state set (window arming and resync)."""
-        return self._intern(key, stats)
-
-    def set_of(self, state_id: int) -> FrozenSet[int]:
-        """The NFA-state set behind a materialized DFA state."""
-        return self._sets[state_id]
-
-    def arms(self, state_id: int):
-        """``(sibling_windows, following_windows)`` armed when a node in
-        this state closes."""
-        return self._arm_sib[state_id], self._arm_fol[state_id]
-
-    def _remember(self, table, key, value, stats) -> None:
-        if len(self._elem) + len(self._attr) >= self._cap:
-            victim = table if table else (self._elem if self._elem
-                                          else self._attr)
-            victim.pop(next(iter(victim)))
-            self._evictions += 1
-            if stats is not None:
-                stats.transition_cache_evictions += 1
-        table[key] = value
+    def _admit(self, state: _DfaState) -> bool:
+        """Count one more cached transition on ``state`` — unless it was
+        flushed off the intern table (possibly by the miss being served):
+        caching there would pin forgotten states while a run holds it."""
+        admitted = self._states.get(state.nfa) is state
+        self._cached += admitted
+        return admitted
 
     # -- transitions -------------------------------------------------------
-    def element_successor(self, state_id: int, tag: str, stats) -> int:
-        key = (state_id, tag)
+    def element_successor(self, state: _DfaState, tag: str,
+                          stats) -> _DfaState:
         stats.transition_cache_lookups += 1
-        successor = self._elem.get(key)
+        successor = state.elem.get(tag)
         if successor is not None:
             stats.transition_cache_hits += 1
             return successor
         targets = set()
-        for q in self._sets[state_id]:
+        for q in state.nfa:
             nfa_state = self._nfa[q]
             bucket = nfa_state.elem_by_tag.get(tag)
             if bucket:
                 targets.update(bucket)
             if nfa_state.elem_any:
                 targets.update(nfa_state.elem_any)
-        successor = self._intern(frozenset(targets), stats)
-        self._remember(self._elem, key, successor, stats)
+        successor = self.intern(frozenset(targets), stats)
+        if self._admit(state):
+            state.elem[tag] = successor
         return successor
 
-    def text_successor(self, state_id: int, stats) -> int:
+    def text_successor(self, state: _DfaState, stats) -> _DfaState:
         stats.transition_cache_lookups += 1
-        successor = self._text.get(state_id)
+        successor = state.text
         if successor is not None:
             stats.transition_cache_hits += 1
             return successor
         targets = set()
-        for q in self._sets[state_id]:
+        for q in state.nfa:
             targets.update(self._nfa[q].text)
-        successor = self._intern(frozenset(targets), stats)
-        # One entry per materialized state: small, never evicted.
-        self._text[state_id] = successor
+        successor = self.intern(frozenset(targets), stats)
+        if self._admit(state):
+            state.text = successor
         return successor
 
-    def attribute_successor(self, state_id: int, name: str, stats) -> int:
-        key = (state_id, name)
+    def attribute_successor(self, state: _DfaState, name: str,
+                            stats) -> _DfaState:
         stats.transition_cache_lookups += 1
-        successor = self._attr.get(key)
+        successor = state.attr.get(name)
         if successor is not None:
             stats.transition_cache_hits += 1
             return successor
         targets = set()
-        for q in self._sets[state_id]:
+        for q in state.nfa:
             nfa_state = self._nfa[q]
             bucket = nfa_state.attr_by_name.get(name)
             if bucket:
                 targets.update(bucket)
             if nfa_state.attr_any:
                 targets.update(nfa_state.attr_any)
-        successor = self._intern(frozenset(targets), stats)
-        self._remember(self._attr, key, successor, stats)
+        successor = self.intern(frozenset(targets), stats)
+        if self._admit(state):
+            state.attr[name] = successor
         return successor
-
-    def accepts(self, state_id: int):
-        """``(deliver_ordinals, gates)`` of a materialized DFA state."""
-        return self._deliver[state_id], self._gates[state_id]
 
     # -- introspection -----------------------------------------------------
     def state_count(self) -> int:
         """DFA states currently materialized (shared; drops on a flush)."""
-        return len(self._sets)
+        return len(self._states)
 
     def describe(self) -> dict:
         """Size figures for benchmark reports and diagnostics."""
         return {
             "nfa_states": len(self._nfa),
-            "dfa_states": len(self._sets),
-            "transitions_cached": (len(self._elem) + len(self._attr)
-                                   + len(self._text)),
+            "dfa_states": len(self._states),
+            "transitions_cached": self._cached,
             "transition_cap": self._cap,
-            "state_cap": self._state_cap,
-            "evictions": self._evictions,
-            "flushes": self._flushes,
-            "targeted_invalidations": self._targeted_invalidations,
-            "full_invalidations": self._full_invalidations,
+            **self._counts,
         }
 
 
@@ -641,80 +587,34 @@ class AutomatonRun:
 
     Owned by a :class:`~repro.streaming.matcher.MatcherCore` with
     ``backend="dfa"``; the core calls in from its event loop.  The only
-    per-document state is the DFA state stack mirroring the open-element
-    stack — plus, when the automaton has sibling-window rules, the parallel
-    stack of exact NFA-state sets (window arming merges states into live
-    entries, which tag replay could not reconstruct) and the set of armed
-    ``following`` windows.  ``rewind()`` (wired into the core's
-    stream-state teardown) clears them, while the automaton's transition
-    table deliberately survives into the next document.
+    per-document state is the stack of DFA states — the states themselves —
+    mirroring the open-element stack, and the set of armed ``following``
+    windows.  ``rewind()`` (wired into the core's stream-state teardown)
+    clears them, while the automaton's warmed states deliberately survive
+    into the next document.
 
     ``sink_of`` maps a subscription ordinal to its current result sink; it
     is consulted at fire time so sinks replaced by ``reset()`` stay correct.
     """
 
-    __slots__ = ("automaton", "_sink_of", "stack", "sets", "_armed",
-                 "_windows", "epoch")
+    __slots__ = ("automaton", "_sink_of", "stack", "_armed")
 
     def __init__(self, automaton: SubscriptionAutomaton, sink_of):
         self.automaton = automaton
         self._sink_of = sink_of
-        self.stack: List[int] = []
-        #: Exact NFA sets behind ``stack`` — maintained (and consulted by
-        #: resync) only when the automaton has window rules.
-        self.sets: List[FrozenSet[int]] = []
+        self.stack: List[_DfaState] = []
         #: Armed ``following`` windows: invariantly a subset of the current
         #: top entry; re-injected lazily whenever a pop exposes an entry
         #: that predates the arming.
         self._armed: FrozenSet[int] = frozenset()
-        self._windows = automaton.has_window_rules
-        self.epoch = automaton.epoch
 
     def on_document_start(self, core, root_id: int) -> None:
-        automaton = self.automaton
-        automaton.maybe_flush(core.stats)
-        self.epoch = automaton.epoch
-        # Live churn may have introduced the automaton's first window rules
-        # since the last document; the cached flag refreshes only here —
-        # never mid-document, where the parallel ``sets`` stack would not
-        # have been maintained from the start.
-        self._windows = automaton.has_window_rules
-        start = automaton.start_state
+        start = self.automaton.start
         self.stack = [start]
-        if self._windows:
-            self.sets = [automaton.set_of(start)]
-            self._armed = frozenset()
-        deliver, gates = automaton.accepts(start)
-        if deliver or gates:
+        self._armed = frozenset()
+        if start.deliver or start.gates:
             # Members accepting at the root itself (e.g. the path "/").
-            self._fire(core, deliver, gates, root_id, 0, False, None, None,
-                       False)
-
-    def _resync(self, core) -> None:
-        """Rebuild the state stack after a flush (ours or a co-tenant's).
-
-        Without window rules the stack is a pure function of the engine's
-        open-element ancestor chain — available for free on ``core._stack``
-        — and is replayed through the freshly emptied automaton; the
-        dead-state shortcut in :meth:`on_node` never applies here because a
-        flushed automaton has no dead entries on any live path that
-        mattered (recomputing them is exactly the point).  With window
-        rules the entries carry armed-window residue no replay could
-        rebuild, so the exact NFA sets of :attr:`sets` are re-interned
-        instead.
-        """
-        automaton = self.automaton
-        self.epoch = automaton.epoch
-        stats = core.stats
-        if self._windows:
-            self.stack = [automaton.intern_set(entry, stats)
-                          for entry in self.sets]
-            return
-        stack = [automaton.start_state]
-        for open_element in core._stack[1:]:
-            stack.append(automaton.element_successor(stack[-1],
-                                                     open_element.tag, stats))
-        self.stack = stack
+            self._fire(core, start, root_id, 0, False, None, None, False)
 
     def _arm(self, core, sib, fol) -> None:
         """Merge newly armed (and still-armed ``following``) windows into
@@ -722,95 +622,57 @@ class AutomatonRun:
         if fol:
             self._armed |= fol
         add = (self._armed | sib) if sib else self._armed
-        if not add:
-            return
-        current = self.sets[-1]
-        if add <= current:
-            return
-        merged = current | add
-        self.sets[-1] = merged
-        self.stack[-1] = self.automaton.intern_set(merged, core.stats)
+        current = self.stack[-1].nfa
+        if not add <= current:
+            self.stack[-1] = self.automaton.intern(current | add, core.stats)
 
     def on_node(self, core, node_id: int, depth: int, is_element: bool,
                 tag, value, attributes) -> None:
-        automaton = self.automaton
-        if automaton.maybe_flush(core.stats) or self.epoch != automaton.epoch:
-            self._resync(core)
         stack = self.stack
         top = stack[-1]
-        dead = automaton.dead_state
+        if not top.nfa:
+            # Dead: the whole subtree inherits it without a lookup.
+            if is_element:
+                stack.append(top)
+            return
+        automaton = self.automaton
         if is_element:
-            if top == dead:
-                stack.append(dead)
-                if self._windows:
-                    self.sets.append(automaton.set_of(dead))
-                return
             state = automaton.element_successor(top, tag, core.stats)
             stack.append(state)
-            if self._windows:
-                self.sets.append(automaton.set_of(state))
-            if state == dead:
-                return
-            deliver, gates = automaton.accepts(state)
-            if deliver or gates:
-                self._fire(core, deliver, gates, node_id, depth, True, tag,
-                           None, False)
-            if attributes and automaton.has_attribute_rules:
+            if state.deliver or state.gates:
+                self._fire(core, state, node_id, depth, True, tag, None,
+                           False)
+            if attributes and state.nfa and automaton.has_attribute_rules:
                 for index, (name, attr_value) in enumerate(attributes):
                     successor = automaton.attribute_successor(
                         state, name, core.stats)
-                    if successor == dead:
-                        continue
-                    deliver, gates = automaton.accepts(successor)
-                    if deliver or gates:
+                    if successor.deliver or successor.gates:
                         # Attribute nodes claim the ids after their element.
-                        self._fire(core, deliver, gates, node_id + 1 + index,
+                        self._fire(core, successor, node_id + 1 + index,
                                    depth + 1, False, name, attr_value, True)
         else:
-            if top == dead:
-                return
             state = automaton.text_successor(top, core.stats)
-            if state == dead:
-                return
-            deliver, gates = automaton.accepts(state)
-            if deliver or gates:
-                self._fire(core, deliver, gates, node_id, depth, False, None,
-                           value, False)
-            if self._windows:
+            if state.deliver or state.gates:
+                self._fire(core, state, node_id, depth, False, None, value,
+                           False)
+            if state.arm_sib or state.arm_fol:
                 # Text anchors have no close event: their windows arm at
                 # the text event itself, into the enclosing element entry.
-                sib, fol = automaton.arms(state)
-                if sib or fol:
-                    self._arm(core, sib, fol)
+                self._arm(core, state.arm_sib, state.arm_fol)
 
     def on_close(self, core) -> None:
-        stack = self.stack
-        if not stack:
-            return
-        if not self._windows:
-            stack.pop()
-            return
-        automaton = self.automaton
-        # Resync *before* consuming the closing entry's id: a co-tenant's
-        # flush since the last event would have invalidated it.
-        if automaton.maybe_flush(core.stats) or self.epoch != automaton.epoch:
-            self._resync(core)
-        closed = stack.pop()
-        self.sets.pop()
-        if not stack:
-            return
-        sib, fol = automaton.arms(closed)
-        if sib or fol or self._armed:
-            self._arm(core, sib, fol)
+        closed = self.stack.pop()
+        if closed.arm_sib or closed.arm_fol or self._armed:
+            self._arm(core, closed.arm_sib, closed.arm_fol)
 
     def rewind(self) -> None:
         self.stack = []
-        self.sets = []
         self._armed = frozenset()
 
-    def _fire(self, core, deliver, gates, node_id: int, depth: int,
+    def _fire(self, core, state: _DfaState, node_id: int, depth: int,
               is_element: bool, tag, value, is_attribute: bool) -> None:
-        """Deliver DFA accepts and open qualifier gates at the current node.
+        """Deliver ``state``'s accepts and open its qualifier gates at the
+        current node.
 
         A gate is a step match like any other: the node reached the gate's
         spine prefix, so it continues through ``core.step_matched`` with the
@@ -825,14 +687,14 @@ class AutomatonRun:
         core's ``_start_node``, before the event reaches the shared tee.
         """
         sink_of = self._sink_of
-        for ordinal in deliver:
+        for ordinal in state.deliver:
             core.add_candidate(sink_of(ordinal), node_id, depth, is_element,
-                               value, (), collect_values=False)
-        for gate in gates:
+                               value, ())
+        for gate in state.gates:
             sink = sink_of(gate.ordinal)
             # A satisfied sink's verdict is fixed (exists-only sink): the
             # gate's conditions and expectations could change nothing.
             if not sink.satisfied:
                 core.step_matched(gate.qualifiers, gate.remaining, sink,
-                                  False, node_id, depth, is_element, tag,
-                                  value, is_attribute=is_attribute)
+                                  node_id, depth, is_element, tag, value,
+                                  is_attribute=is_attribute)

@@ -288,8 +288,7 @@ class MultiMatcher(MatcherCore):
         retired = self._retired
         for subscription, sink in zip(self._subscriptions, self._sinks):
             if subscription.ordinal not in retired:
-                self.spawn_root_expr(subscription.path, sink,
-                                     collect_values=False, root_id=root_id)
+                self.spawn_root_expr(subscription.path, sink, root_id)
 
     # -- substream capture -------------------------------------------------
     def _capture_ordinal(self, sink: _Sink) -> Optional[int]:
@@ -386,8 +385,8 @@ class SubscriptionIndex:
     mutated *incrementally* on a running index:
 
     * :meth:`add_subscription` inserts the new NFA fragments into the
-      shared automaton with a *targeted* DFA invalidation (epoch bump plus
-      patching only the materialized states the fragments touch — see
+      shared automaton with a *targeted* DFA invalidation (patching only
+      the materialized states the fragments touch — see
       :meth:`~repro.streaming.automaton.SubscriptionAutomaton.add_member`);
     * :meth:`remove_subscription` is ordinal retirement: deliveries for the
       ordinal are dropped at the sink boundary (live sessions included —

@@ -41,18 +41,19 @@ How it works
   Per-event work therefore scales with the expectations that *could* match
   the event, not with all live expectations
   (``StreamStats.expectations_checked``).
-* Lifecycle transitions are indexed by node id instead of scanned:
-  expectations waiting for their anchor to close (``following`` /
-  ``following-sibling``) sit in a map keyed by anchor id and enter the
-  dispatch index when that exact element closes; ``child``/``descendant``
-  expectations register for expiry under their anchor id; a
-  ``following-sibling`` window registers under its anchor's *parent* id and
-  is closed when that parent closes.  An :class:`EndElement` therefore pops
-  just the affected entries.  Expectations that can no longer deliver
-  anything useful (the existence sink they feed is already satisfied — a
-  qualifier witness found, or a verdict-only subscription decided) are
-  unlinked *at the moment of satisfaction* through the sink-watcher registry
-  rather than re-checked on every event.
+* Lifecycle transitions are indexed by node id instead of scanned, in one
+  close-event registry: expectations waiting for their anchor to close
+  (``following`` / ``following-sibling``) register under the anchor's id
+  and enter the dispatch index when that exact element closes;
+  ``child``/``descendant`` expectations register under their anchor's id
+  too, to expire with it; a ``following-sibling`` window also registers
+  under its anchor's *parent* id and is closed when that parent closes.  An
+  :class:`EndElement` therefore pops just the affected entries — whatever
+  is still waiting activates, the rest expires.  Expectations that can no
+  longer deliver anything useful (the existence sink they feed is already
+  satisfied — a qualifier witness found, or a verdict-only subscription
+  decided) are unlinked *at the moment of satisfaction* through the
+  sink-watcher registry rather than re-checked on every event.
 * Qualifiers and joins become *conditions* attached to candidate matches.
   Existence qualifiers spawn sub-expectations anchored at the candidate;
   ``==`` joins collect node ids on both sides; ``=`` joins additionally
@@ -351,18 +352,16 @@ class _Expectation:
     when the expectation expires.
     """
 
-    __slots__ = ("step", "remaining", "sink", "collect_values", "anchor_id",
-                 "anchor_depth", "conditions", "state", "serial", "bucket",
-                 "watch")
+    __slots__ = ("step", "remaining", "sink", "anchor_id", "anchor_depth",
+                 "conditions", "state", "serial", "bucket", "watch")
 
     def __init__(self, step: Step, remaining: Tuple[Step, ...], sink: _Sink,
-                 collect_values: bool, anchor_id: int, anchor_depth: int,
+                 anchor_id: int, anchor_depth: int,
                  conditions: Tuple[_Condition, ...], state: str,
                  serial: int = 0):
         self.step = step
         self.remaining = remaining
         self.sink = sink
-        self.collect_values = collect_values
         self.anchor_id = anchor_id
         self.anchor_depth = anchor_depth
         self.conditions = conditions
@@ -536,15 +535,12 @@ class MatcherCore:
         self._stack: List[_OpenElement] = []
         #: Active expectations, bucketed by node test.
         self._dispatch = _DispatchIndex()
-        #: ``following``/``following-sibling`` expectations waiting for their
-        #: anchor element to close, keyed by anchor node id.
-        self._waiting_by_anchor: Dict[int, List[_Expectation]] = {}
-        #: ``child``/``descendant``/``descendant-or-self`` expectations keyed
-        #: by the anchor whose close event expires them.
-        self._expiry_by_anchor: Dict[int, List[_Expectation]] = {}
-        #: ``following-sibling`` expectations keyed by the anchor's *parent*,
-        #: whose close event shuts the sibling window.
-        self._sibling_expiry_by_parent: Dict[int, List[_Expectation]] = {}
+        #: Expectations with business at an element's close, keyed by that
+        #: element's id: ``following``/``following-sibling`` ones *waiting*
+        #: for their anchor to close activate; ``child``/``descendant``/
+        #: ``descendant-or-self`` ones expire with their anchor, and a
+        #: ``following-sibling`` window with the anchor's *parent*.
+        self._on_close: Dict[int, List[_Expectation]] = {}
         #: Expectations to unlink the moment an existence sink satisfies.
         self._sink_watchers: Dict[_Sink, Dict[int, _Expectation]] = {}
         #: Conditioned existence-sink entries delivered during the current
@@ -660,6 +656,10 @@ class MatcherCore:
         self.stats.events += 1
         if isinstance(event, StartDocument):
             self._start_document(event)
+        elif not self._stack:
+            raise StreamingError(
+                f"{type(event).__name__} outside a document: events must "
+                "come between StartDocument and EndDocument")
         elif isinstance(event, StartElement):
             self._start_node(event.node_id, True, event.tag, None,
                              event.attributes)
@@ -718,8 +718,7 @@ class MatcherCore:
         # Spawn the shared absolute sub-paths.
         for registry in (self._absolute_sinks, self._absolute_value_sinks):
             for operand, sink in registry.items():
-                self.spawn_root_expr(operand, sink, sink.collect_values,
-                                     event.node_id)
+                self.spawn_root_expr(operand, sink, event.node_id)
         if self._tee is not None and self._document_claims:
             # Root ("/") matches span the whole document: their windows open
             # now and close at EndDocument (_finish).
@@ -728,7 +727,7 @@ class MatcherCore:
             self._tee.open_document(event.node_id, claims)
 
     def spawn_root_expr(self, expr: PathExpr, sink: _Sink,
-                        collect_values: bool, root_id: int) -> None:
+                        root_id: int) -> None:
         """Spawn every union member of an absolute expression from the root."""
         for member in iter_union_members(expr):
             if isinstance(member, Bottom):
@@ -739,14 +738,12 @@ class MatcherCore:
                     f"(got {to_string(member)})")
             if not member.steps:
                 # The path "/" selects the root itself.
-                self.add_candidate(sink, root_id, 0, False, None, (),
-                                   collect_values)
+                self.add_candidate(sink, root_id, 0, False, None, ())
                 continue
             self.spawn_steps(member.steps, anchor_id=root_id,
                              anchor_depth=0, anchor_is_element=False,
                              anchor_tag=None, anchor_value=None,
-                             conditions=(), sink=sink,
-                             collect_values=collect_values)
+                             conditions=(), sink=sink)
 
     def _start_node(self, node_id: int, is_element: bool, tag: Optional[str],
                     value: Optional[str],
@@ -769,8 +766,7 @@ class MatcherCore:
                     continue
                 self.step_matched(expectation.step.qualifiers,
                                   expectation.remaining, expectation.sink,
-                                  expectation.collect_values, node_id, depth,
-                                  is_element, tag, value,
+                                  node_id, depth, is_element, tag, value,
                                   expectation.conditions)
         if self._automaton_run is not None:
             # Structural dispatch: decided deliveries plus qualifier gates,
@@ -834,38 +830,34 @@ class MatcherCore:
                     continue
                 self.step_matched(expectation.step.qualifiers,
                                   expectation.remaining, expectation.sink,
-                                  expectation.collect_values, attribute_id,
-                                  depth + 1, False, name, value,
+                                  attribute_id, depth + 1, False, name, value,
                                   expectation.conditions, is_attribute=True)
         if dispatch.has_attribute_expectations:
             for expectation in dispatch.attribute_expectations():
                 self._expire(expectation)
 
     def _end_node(self) -> None:
+        if len(self._stack) < 2:
+            # Only the document root's entry is left, and it never closes.
+            raise StreamingError("EndElement without an open element")
         closed = self._stack.pop()
         node_id = closed.node_id
         if self._automaton_run is not None:
             self._automaton_run.on_close(self)
-        # Open the window of following/following-sibling expectations that
-        # were waiting for exactly this element to close.
-        waiting = self._waiting_by_anchor.pop(node_id, None)
-        if waiting is not None:
-            for expectation in waiting:
+        # Whoever registered for this close: an expectation still waiting
+        # was waiting for exactly this element (its anchor) and its window
+        # opens; anything else is anchored at the closed element, or is a
+        # sibling window of one of its children, and expires.  (An anchor
+        # closes before its parent, so a sibling window is never still
+        # waiting when the parent's close comes for it.)
+        registered = self._on_close.pop(node_id, None)
+        if registered is not None:
+            for expectation in registered:
                 if expectation.state is _WAITING:
                     expectation.state = _ACTIVE
                     self._dispatch.insert(expectation)
-        # Expire child/descendant expectations anchored at the closed element.
-        expiring = self._expiry_by_anchor.pop(node_id, None)
-        if expiring is not None:
-            for expectation in expiring:
-                self._expire(expectation)
-        # A following-sibling window closes when the siblings' parent closes;
-        # the entries are keyed by that parent's id, so this pops exactly the
-        # affected expectations (the depth comparison is implied by the key).
-        siblings = self._sibling_expiry_by_parent.pop(node_id, None)
-        if siblings is not None:
-            for expectation in siblings:
-                self._expire(expectation)
+                else:
+                    self._expire(expectation)
         # Finalize value collectors anchored at the closed element.
         collectors = self._collectors_by_node.pop(node_id, None)
         if collectors is not None:
@@ -903,9 +895,10 @@ class MatcherCore:
     def live_expectations(self) -> List[_Expectation]:
         """Snapshot of all waiting + active expectations (diagnostics)."""
         live = [expectation
-                for waiting in self._waiting_by_anchor.values()
-                for expectation in waiting
-                if expectation.state is _WAITING]
+                for node_id, registered in self._on_close.items()
+                for expectation in registered
+                if (expectation.state is _WAITING
+                    and expectation.anchor_id == node_id)]
         live.extend(self._dispatch.iter_all())
         return live
 
@@ -918,9 +911,7 @@ class MatcherCore:
         """
         self._stack = []
         self._dispatch.clear()
-        self._waiting_by_anchor = {}
-        self._expiry_by_anchor = {}
-        self._sibling_expiry_by_parent = {}
+        self._on_close = {}
         self._sink_watchers = {}
         self._event_entries = []
         self._live = 0
@@ -1001,9 +992,7 @@ class MatcherCore:
         """
         return {
             "dispatch": sum(1 for _ in self._dispatch.iter_all()),
-            "waiting_by_anchor": len(self._waiting_by_anchor),
-            "expiry_by_anchor": len(self._expiry_by_anchor),
-            "sibling_expiry_by_parent": len(self._sibling_expiry_by_parent),
+            "on_close": len(self._on_close),
             "sink_watchers": len(self._sink_watchers),
             "collectors_by_node": len(self._collectors_by_node),
             "live_expectations": self._live,
@@ -1019,7 +1008,6 @@ class MatcherCore:
                     anchor_depth: int, anchor_is_element: bool,
                     anchor_tag: Optional[str], anchor_value: Optional[str],
                     conditions: Tuple[_Condition, ...], sink: _Sink,
-                    collect_values: bool,
                     anchor_is_attribute: bool = False) -> None:
         """Expect ``steps[0]`` from the given anchor; the rest of the
         sequence continues from whatever matches it, into ``sink``.
@@ -1055,9 +1043,9 @@ class MatcherCore:
             if self._anchor_matches_test(step, anchor_is_element, anchor_tag,
                                          anchor_is_text, anchor_is_attribute):
                 self.step_matched(step.qualifiers, remaining, sink,
-                                  collect_values, anchor_id, anchor_depth,
-                                  anchor_is_element, anchor_tag, anchor_value,
-                                  conditions, anchor_is_attribute)
+                                  anchor_id, anchor_depth, anchor_is_element,
+                                  anchor_tag, anchor_value, conditions,
+                                  anchor_is_attribute)
             if axis is Axis.SELF:
                 return
 
@@ -1078,21 +1066,21 @@ class MatcherCore:
             # never closes before the end of the stream, so nothing follows it.
             state = _ACTIVE if anchor_is_text else _WAITING
         self._serial += 1
-        expectation = _Expectation(step, remaining, sink, collect_values,
-                                   anchor_id, anchor_depth, conditions, state,
+        expectation = _Expectation(step, remaining, sink, anchor_id,
+                                   anchor_depth, conditions, state,
                                    self._serial)
         if state is _ACTIVE:
             self._dispatch.insert(expectation)
-        else:
-            self._waiting_by_anchor.setdefault(anchor_id, []).append(expectation)
-        if axis in (Axis.CHILD, Axis.DESCENDANT, Axis.DESCENDANT_OR_SELF):
-            self._expiry_by_anchor.setdefault(anchor_id, []).append(expectation)
-        elif axis is Axis.FOLLOWING_SIBLING and anchor_depth >= 1:
+        if state is _WAITING or axis in (Axis.CHILD, Axis.DESCENDANT,
+                                         Axis.DESCENDANT_OR_SELF):
+            # The anchor's close opens a waiting expectation's window and
+            # expires a child/descendant one.
+            self._on_close.setdefault(anchor_id, []).append(expectation)
+        if axis is Axis.FOLLOWING_SIBLING and anchor_depth >= 1:
             # The sibling window shuts when the anchor's parent closes; that
             # parent is on the open-element stack right below the anchor.
             parent_id = self._stack[anchor_depth - 1].node_id
-            self._sibling_expiry_by_parent.setdefault(
-                parent_id, []).append(expectation)
+            self._on_close.setdefault(parent_id, []).append(expectation)
         if sink.exists_only:
             # Only an existence sink can ever flip to satisfied mid-stream; a
             # collecting sink keeps accepting entries until the end.
@@ -1129,9 +1117,8 @@ class MatcherCore:
 
     def step_matched(self, qualifiers: Tuple[Qualifier, ...],
                      remaining: Tuple[Step, ...], sink: _Sink,
-                     collect_values: bool, node_id: int, depth: int,
-                     is_element: bool, tag: Optional[str],
-                     value: Optional[str],
+                     node_id: int, depth: int, is_element: bool,
+                     tag: Optional[str], value: Optional[str],
                      conditions: Tuple[_Condition, ...] = (),
                      is_attribute: bool = False) -> None:
         """A node matched a step: turn the step's ``qualifiers`` into
@@ -1153,23 +1140,21 @@ class MatcherCore:
             self.spawn_steps(remaining, anchor_id=node_id, anchor_depth=depth,
                              anchor_is_element=is_element, anchor_tag=tag,
                              anchor_value=value, conditions=conditions,
-                             sink=sink, collect_values=collect_values,
-                             anchor_is_attribute=is_attribute)
+                             sink=sink, anchor_is_attribute=is_attribute)
         else:
             self.add_candidate(sink, node_id, depth, is_element, value,
-                               conditions, collect_values)
+                               conditions)
 
     def add_candidate(self, sink: _Sink, node_id: int, depth: int,
                       is_element: bool, value: Optional[str],
-                      conditions: Tuple[_Condition, ...],
-                      collect_values: bool) -> None:
+                      conditions: Tuple[_Condition, ...]) -> None:
         """Deliver a final-step match into a sink, buffering values if needed."""
         entry = _Entry(node_id=node_id, conditions=conditions)
         was_satisfied = sink.satisfied
         retained = sink.add(entry)
         if retained:
             self.stats.candidates_buffered += 1
-            if collect_values or sink.collect_values:
+            if sink.collect_values:
                 if is_element or value is None:
                     # Elements — and the document root, the only non-element
                     # candidate without an own value — take the
@@ -1320,7 +1305,6 @@ class MatcherCore:
             self.spawn_steps(member.steps, anchor_id=node_id, anchor_depth=depth,
                              anchor_is_element=is_element, anchor_tag=tag,
                              anchor_value=value, conditions=(), sink=sink,
-                             collect_values=collect_values,
                              anchor_is_attribute=is_attribute)
         return sink
 
@@ -1360,8 +1344,7 @@ class StreamingMatcher(MatcherCore):
         return self._result_sink
 
     def _spawn_roots(self, root_id: int) -> None:
-        self.spawn_root_expr(self.path, self._result_sink,
-                             collect_values=False, root_id=root_id)
+        self.spawn_root_expr(self.path, self._result_sink, root_id)
 
     def reset(self) -> None:
         super().reset()

@@ -53,15 +53,9 @@ class StreamStats:
     #: is the number of on-the-fly subset constructions.
     transition_cache_lookups: int = 0
     transition_cache_hits: int = 0
-    #: Lazy-DFA backend: cached transitions dropped one at a time (FIFO)
-    #: because the bounded table was full (the automaton falls back to
-    #: on-the-fly subset construction for evicted entries).
-    transition_cache_evictions: int = 0
-    #: Lazy-DFA backend: cached transitions dropped wholesale because the
-    #: materialized *state set* outgrew its bound and the automaton flushed
-    #: (epoch bump; live runs resync).  Kept separate from the per-entry
-    #: FIFO evictions above so the two overflow regimes stay
-    #: distinguishable in reports.
+    #: Lazy-DFA backend: cached transitions dropped because materialized
+    #: states plus cached transitions reached ``dfa_transition_cap`` and the
+    #: automaton flushed (everything is forgotten and lazily rebuilt).
     transition_cache_flushed: int = 0
     #: Qualifier/join conditions created during the run.
     conditions_created: int = 0
@@ -114,10 +108,10 @@ class ChurnStats:
     #: matcher is built is not churn and is not counted.
     subscriptions_added: int = 0
     subscriptions_removed: int = 0
-    #: Targeted DFA invalidations: an incremental NFA insertion bumped the
-    #: epoch and dropped only the cached transitions whose NFA-state sets
-    #: intersect the touched fragments, keeping every materialized DFA state
-    #: (and the ids live runs hold) intact.
+    #: Targeted DFA invalidations: an incremental NFA insertion patched only
+    #: the materialized DFA states whose NFA-state sets intersect the
+    #: touched fragments (accept info recomputed, their own transitions
+    #: dropped), keeping every state (and the stacks live runs hold) intact.
     targeted_flushes: int = 0
     #: Incremental insertions that fell back to the wholesale flush because
     #: the touched fragments reached too many materialized states (see

@@ -25,7 +25,9 @@ from hypothesis import strategies as st
 
 from repro.streaming import (
     DocumentBroker,
+    NodeIdDelivery,
     SubscriptionIndex,
+    SubstreamDelivery,
     VerdictDelivery,
 )
 from repro.streaming.dom_baseline import dom_evaluate
@@ -140,6 +142,54 @@ def test_three_way_equivalence_deterministic_pool():
                 == dom.node_ids, (query, document is docs[0])
             cases += 1
     assert cases == 2 * len(pool) >= 300
+
+
+@given(document=st.one_of(attribute_documents, feed_documents),
+       split=st.floats(min_value=0.05, max_value=0.95))
+@settings(max_examples=25, **SETTINGS)
+def test_flushes_inside_events_change_nothing(document, split):
+    """The smallest cache bound flushes *inside* events, while the run still
+    holds states the automaton has forgotten — and a subscription arrives
+    mid-document on top.  Every delivery mode must answer exactly as a
+    broker with room to spare, and as the DOM evaluator."""
+    pool = dict(enumerate(MIXED_POOL + ATTRIBUTE_POOL))
+    late_query = "//item[@id]/following-sibling::*"
+    text = to_xml(document, indent=0)
+    cut = int(len(text) * split)
+    events = list(iter_events(text))
+    for delivery in (VerdictDelivery, NodeIdDelivery, SubstreamDelivery):
+        brokers = [DocumentBroker(SubscriptionIndex(pool, cache=COMPILE_CACHE,
+                                                    dfa_transition_cap=cap),
+                                  backend="dfa", delivery=delivery())
+                   for cap in (16, 65536)]
+
+        def churned(broker):
+            yield text[:cut]
+            broker.subscribe("late", late_query)
+            yield text[cut:]
+
+        # The add takes effect at the session's next document: the second
+        # submit is the one that reports "late".
+        for chunks in (churned, lambda broker: [text]):
+            tiny, roomy = (broker.submit("doc", chunks(broker))
+                           for broker in brokers)
+            # Until its first flush the tiny cache fills exactly like the
+            # roomy one, so a roomy cache past 16 entries means it flushed.
+            figures = brokers[1].session._automaton.describe()
+            if figures["dfa_states"] + figures["transitions_cached"] > 16:
+                assert brokers[0].session._automaton.describe()["flushes"]
+            assert figures["flushes"] == 0
+            paths = {subscription.key: subscription.path
+                     for subscription in brokers[0].subscriptions}
+            assert [result.key for result in tiny] \
+                == [result.key for result in roomy]
+            for result in tiny:
+                dom = dom_evaluate(paths[result.key], events)
+                assert result == roomy[result.key], result.query
+                assert result.matched == dom.matched, result.query
+                if delivery is not VerdictDelivery:
+                    assert result.node_ids == dom.node_ids, result.query
+        assert "late" in tiny.by_key
 
 
 class TestBrokerSessionReuse:

@@ -15,6 +15,7 @@ from repro.streaming.automaton import (
     compile_subscription_automaton,
     resolve_backend,
 )
+from repro.streaming.dom_baseline import dom_evaluate
 from repro.streaming.matcher import StreamingMatcher
 from repro.xmlmodel.builder import document_events
 from repro.xmlmodel.document import Document, element, text
@@ -184,15 +185,22 @@ class TestSpineClassification:
 
 class TestCompilation:
     def test_window_spines_no_longer_fall_back(self):
-        automaton = compile_subscription_automaton([
-            (0, parse_xpath("/descendant::a")),
-            (1, parse_xpath("/following::a")),
-            (2, parse_xpath("/a | /following-sibling::b")),
-            (3, parse_xpath("//a" * 8)),
-        ])
+        # Window spines compile with no root gate and evaluate equal to DOM.
+        queries = ["/descendant::a", "/following::a",
+                   "/a | /following-sibling::b", "//a" * 8,
+                   "//a/following::b", "/r/a/following-sibling::b"]
+        paths = [parse_xpath(query) for query in queries]
+        automaton = compile_subscription_automaton(list(enumerate(paths)))
         assert root_gates(automaton) == []
-        assert automaton.has_window_rules
         assert automaton.state_count() >= 2  # dead + start
+        tree = element("r", element("a", element("b")), element("b"),
+                       element("a"), element("b"))
+        events = list(document_events(Document.from_tree(tree)))
+        result = SubscriptionIndex(queries).evaluate(events, backend="dfa")
+        for position, path in enumerate(paths):
+            assert result[position].node_ids \
+                == dom_evaluate(path, events).node_ids, queries[position]
+        assert result[4].node_ids and result[5].node_ids
 
     def test_fallback_partition(self):
         exploding = parse_xpath(DOS_CHAIN_65)
@@ -206,8 +214,7 @@ class TestCompilation:
         assert [(gate.ordinal, gate.qualifiers, gate.remaining)
                 for gate in root_gates(automaton)] == [
             (1, (), exploding.steps), (2, (), exploding.steps)]
-        assert list(automaton.accepts(automaton.start_state)[1]) \
-            == root_gates(automaton)
+        assert list(automaton.start.gates) == root_gates(automaton)
         assert automaton.state_count() >= 2  # dead + start
 
     def test_alternative_explosion_falls_back(self):
@@ -271,7 +278,6 @@ class TestCompilation:
         assert figures["nfa_states"] > 0
         assert figures["dfa_states"] == matcher.dfa_state_count() > 0
         assert figures["transition_cap"] == DEFAULT_TRANSITION_CAP
-        assert figures["evictions"] == 0
 
 
 class TestLazyMaterialization:
@@ -293,8 +299,9 @@ class TestLazyMaterialization:
         assert second.dfa_state_count() == first.dfa_state_count()
 
     def test_bounded_table_evicts_and_stays_correct(self):
-        # A cap far below the document's tag diversity forces evictions and
-        # continuous on-the-fly subset construction; results must not change.
+        # A cap far below the document's tag diversity forces flushes inside
+        # the document and continuous re-materialization; results must not
+        # change.
         document = tagged_sections_document(sections=30, depth=2, seed=4)
         events = list(document_events(document))
         queries = {f"q{i}": f"/child::db/child::t{i:02d}" for i in range(8)}
@@ -304,16 +311,15 @@ class TestLazyMaterialization:
         roomy_result = roomy.evaluate(events, backend="dfa")
         for key in queries:
             assert capped_result[key].node_ids == roomy_result[key].node_ids
-        assert capped_result.stats.transition_cache_evictions > 0
-        # FIFO eviction alone: the state set stayed under its bound.
-        assert capped_result.stats.transition_cache_flushed == 0
-        assert roomy_result.stats.transition_cache_evictions == 0
+        assert capped_result.stats.transition_cache_flushed > 0
+        assert roomy_result.stats.transition_cache_flushed == 0
 
     def test_state_set_is_flushed_when_it_outgrows_its_bound(self):
         # Documents whose ancestor chains keep combining tags in new ways
         # materialize a new DFA state per distinct NFA subset; a long-lived
         # session must flush (and lazily rebuild) instead of growing without
-        # bound — and results must not change across the flush.
+        # bound — states and cached transitions share the one bound — and
+        # results must not change across the flush.
         import itertools
         import random
         tags = [f"t{i:02d}" for i in range(12)]
@@ -337,41 +343,14 @@ class TestLazyMaterialization:
             for key in queries:
                 assert result[key].node_ids == fresh[key].node_ids, key
             automaton = broker.session._automaton
-            assert automaton.state_count() <= automaton.describe()["state_cap"] \
-                + len(chain) + 2
-            if automaton.describe()["flushes"] and flushed_stats is None:
+            figures = automaton.describe()
+            assert automaton.state_count() + figures["transitions_cached"] \
+                <= figures["transition_cap"] + 2
+            if figures["flushes"] and flushed_stats is None:
                 flushed_stats = result.stats
         assert broker.session._automaton.describe()["flushes"] > 0
         assert flushed_stats is not None
-        # A bulk flush is counted on its own counter, not as FIFO evictions.
         assert flushed_stats.transition_cache_flushed > 0
-
-    def test_flush_and_fifo_eviction_counters_stay_distinguishable(self):
-        # One hand-built stream triggering *both* overflow regimes: a tiny
-        # transition cap (16) forces per-entry FIFO evictions while the
-        # ever-new ancestor-chain tag combinations outgrow the state bound
-        # (64) and force bulk flushes; each lands on its own counter.
-        import itertools
-        tags = [f"t{i:02d}" for i in range(12)]
-        queries = {i: f"//{a}//{b}"
-                   for i, (a, b) in enumerate(itertools.islice(
-                       itertools.permutations(tags, 2), 24))}
-        import random
-        index = SubscriptionIndex(queries, dfa_transition_cap=16)
-        broker = DocumentBroker(index, backend="dfa")
-        evicted = flushed = 0
-        rng = random.Random(5)
-        for round_index in range(80):
-            chain = rng.sample(tags, 7)
-            node = element(chain[-1])
-            for tag in reversed(chain[:-1]):
-                node = element(tag, node)
-            result = broker.submit(round_index, to_xml(
-                Document.from_tree(node), indent=0))
-            evicted += result.stats.transition_cache_evictions
-            flushed += result.stats.transition_cache_flushed
-        assert evicted > 0
-        assert flushed > 0
 
     def test_dead_branches_cost_one_lookup(self):
         # A subscription rooted at a tag the document never opens drives the

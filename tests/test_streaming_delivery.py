@@ -258,12 +258,12 @@ class TestSubstreamEvaluation:
 
 
 class TestFlushMidCapture:
-    """A DFA cache flush (epoch bump) while a capture window is open must
-    preserve the open ``SubtreeTee`` region across the state-stack resync:
-    the tee is matcher state, and the resync rebuilds only automaton state.
+    """A DFA cache flush while a capture window is open must preserve the
+    open ``SubtreeTee`` region: the tee is matcher state, and the flush
+    forgets only automaton state (the run keeps the states it holds).
     """
 
-    N_TAGS = 120  # enough distinct tags to overflow the floor state cap
+    N_TAGS = 120  # enough distinct tags to overflow the floor cache bound
 
     def _workload(self):
         xml = ("<root><wrap>"
@@ -303,9 +303,9 @@ class TestFlushMidCapture:
             events, flushed["wrap"].node_ids)
 
     def test_targeted_invalidation_mid_capture(self):
-        # Live churn's targeted invalidation is the other epoch-bump
-        # source; an open capture must survive it just the same.  Pinned
-        # to the dfa backend: only the automaton has a cache to flush.
+        # Live churn's targeted invalidation is the other way cached DFA
+        # state goes away; an open capture must survive it just the same.
+        # Pinned to the dfa backend: only the automaton has a cache to flush.
         events, subscriptions = self._workload()
         index = SubscriptionIndex(subscriptions)
         baseline = index.evaluate(events, backend="dfa",

@@ -6,6 +6,13 @@ from repro.errors import ReverseAxisStreamingError, StreamingError
 from repro.streaming import dom_evaluate, stream_evaluate, stream_matches
 from repro.streaming.matcher import StreamingMatcher
 from repro.xmlmodel.builder import document_events
+from repro.xmlmodel.events import (
+    EndDocument,
+    EndElement,
+    StartDocument,
+    StartElement,
+    Text,
+)
 from repro.xmlmodel.parser import iter_events
 from repro.datasets import FIGURE1_XML
 from repro.xpath.parser import parse_xpath
@@ -133,6 +140,30 @@ class TestInputsAndErrors:
             matcher.feed(event)
         with pytest.raises(StreamingError):
             matcher.results()
+
+    @pytest.mark.parametrize("backend", ["dfa", "expectations"])
+    @pytest.mark.parametrize("shape", ["before StartDocument",
+                                       "after EndDocument",
+                                       "EndElement closing the root"])
+    def test_events_outside_a_document_are_a_clear_error(self, backend,
+                                                         shape):
+        # Not a bare IndexError (dfa), not a silent match (expectations),
+        # and a stray EndElement must not pop the root entry.
+        strays = [StartElement("name", 1), Text("x", 1), EndElement("name", 1)]
+        if shape == "EndElement closing the root":
+            prefix, strays = [StartDocument()], strays[-1:]
+        elif shape == "after EndDocument":
+            prefix = [StartDocument(), EndDocument()]
+        else:
+            prefix = []
+        for stray in strays:
+            matcher = StreamingMatcher(parse_xpath("/descendant::name"),
+                                       backend=backend)
+            for event in prefix:
+                matcher.feed(event)
+            with pytest.raises(StreamingError, match="outside a document|"
+                                                     "without an open"):
+                matcher.feed(stray)
 
     def test_events_from_xml_text(self):
         result = stream_evaluate("/descendant::name", iter_events(FIGURE1_XML))

@@ -192,7 +192,7 @@ class TestStatsInvariants:
         assert stats.dfa_states_materialized == 0
         assert stats.transition_cache_lookups == 0
         assert stats.transition_cache_hits == 0
-        assert stats.transition_cache_evictions == 0
+        assert stats.transition_cache_flushed == 0
 
     def test_attribute_ids_never_collide_with_element_ids(self, backend):
         # Attribute nodes claim the positions right after their owner; the
