@@ -83,6 +83,13 @@ setup — between documents all engine-internal registries are empty
 (:meth:`~matcher.MatcherCore.registry_sizes`), so nothing leaks from one
 document into the next.
 
+Per-document cost follows what the document *matched*, not the number of
+subscriptions: ``reset`` and ``results`` visit only the result sinks it
+touched, and a :class:`MultiMatchResult` is a sparse value no later document
+or churn changes — ``matching_keys``, ``matched_results``, ``len()`` are
+O(matches); ``results``, iteration, ``by_key`` and ``result[key]``
+synthesize the unmatched rows on first access, O(N) once.
+
 Delivery modes: verdict, node ids, substream
 --------------------------------------------
 
@@ -201,8 +208,8 @@ and stateless but pays the per-subscription setup each time.  Use a
 :class:`DocumentBroker` for a *feed* — many (especially small) documents
 against the same standing subscriptions, arriving as text chunks — where
 session reuse amortizes that setup and verdict-only mode stops tokenizing a
-document the moment its routing is decided
-(``benchmarks/bench_document_broker.py`` quantifies both effects).
+document the moment its routing is decided (``benchmarks/router``, workload
+``feed_small_verdict``, measures the per-document cost that is left).
 """
 
 from repro.streaming.stats import StreamStats

@@ -13,7 +13,7 @@ chunks — and must route each one to the standing subscriptions it matches.
   created lazily and *reused* across documents via
   :meth:`~repro.streaming.matcher.MatcherCore.reset`, so the per-document
   cost is matching alone — not the per-subscription setup a fresh matcher
-  pays (``benchmarks/bench_document_broker.py`` measures the amortization);
+  pays (``benchmarks/router`` measures it: workload ``feed_small_verdict``);
 * each submitted document is tokenized incrementally with
   :class:`~repro.xmlmodel.parser.PushTokenizer`, so callers hand over chunks
   exactly as they arrive;

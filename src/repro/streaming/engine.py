@@ -55,6 +55,7 @@ from repro.streaming.delivery import (
 from repro.streaming.matcher import (
     MatcherCore,
     _DROPPED_SINK,
+    _ResultSink,
     _Sink,
 )
 from repro.streaming.stats import ChurnStats, StreamStats
@@ -102,18 +103,45 @@ class SubscriptionResult:
     payload: Optional[bytes] = None
 
 
-@dataclass
+@dataclass(repr=False)
 class MultiMatchResult:
-    """Outcome of matching one document against a whole subscription index."""
+    """Outcome of matching one document against a whole subscription index.
 
-    results: List[SubscriptionResult]
+    A sparse *value* — the matched rows, the session's subscription tuple, a
+    frozen snapshot of the retired ordinals — that no later document or churn
+    changes.  ``matching_keys``, ``matched_results``, ``len()`` cost O(matches);
+    ``results`` (so iteration, ``by_key``, indexing) synthesizes the unmatched
+    rows on first access: O(N) once, then cached."""
+
+    #: ordinal -> row of each subscription that matched, in ordinal order.
+    _matched: Dict[int, SubscriptionResult]
+    _subscriptions: Tuple[Subscription, ...]
+    _retired: frozenset
+    #: ``payload`` of an unmatched row: ``b""`` where payloads are buffered.
+    _empty_payload: Optional[bytes]
     stats: StreamStats
+
+    @cached_property
+    def results(self) -> List[SubscriptionResult]:
+        """One row per live subscription, in ordinal order."""
+        matched, payload = self._matched, self._empty_payload
+        return [matched.get(subscription.ordinal)
+                or SubscriptionResult(subscription.key, subscription.source,
+                                      False, [], payload)
+                for subscription in self._subscriptions
+                if subscription.ordinal not in self._retired]
+
+    @property
+    def matched_results(self) -> List[SubscriptionResult]:
+        """The rows that matched, ordinal order."""
+        return list(self._matched.values())
 
     def __iter__(self):
         return iter(self.results)
 
     def __len__(self) -> int:
-        return len(self.results)
+        carried = len(self._subscriptions)
+        return carried - sum(ordinal < carried for ordinal in self._retired)
 
     def __getitem__(self, key: Hashable) -> SubscriptionResult:
         try:
@@ -128,7 +156,7 @@ class MultiMatchResult:
     @property
     def matching_keys(self) -> List[Hashable]:
         """Keys of the subscriptions the document matched (routing table row)."""
-        return [result.key for result in self.results if result.matched]
+        return [result.key for result in self._matched.values()]
 
 
 # ---------------------------------------------------------------------------
@@ -157,13 +185,13 @@ class MultiMatcher(MatcherCore):
         #: generation snapshot the session was last synced to.
         self._index = index
         self._retired: set = index._retired
-        self._synced_version = index.version
+        self._synced_version: Optional[int] = None
         self._generation = index.generation
         # The emission layer (see repro.streaming.delivery): what a decided
         # match delivers.
         delivery = resolve_delivery(delivery)
         self._delivery = delivery
-        self._subscriptions = tuple(index._subscriptions)
+        self._subscriptions: Tuple[Subscription, ...] = ()
         self._matches_only = delivery.matches_only
         self._automaton = automaton
         if delivery.captures:
@@ -180,20 +208,12 @@ class MultiMatcher(MatcherCore):
         if automaton is not None:
             self._automaton_run = AutomatonRun(automaton,
                                                self._structural_sink)
-        self._sinks = [_Sink(exists_only=self._matches_only)
-                       for _ in self._subscriptions]
-        #: Reverse map for verdict bookkeeping and capture routing: a result
-        #: sink can satisfy on any delivery path (immediately, or in the
-        #: end-of-event settlement pass that decides ``[@a]``-style
-        #: qualifiers at StartElement), so the subscription lookup happens
-        #: in :meth:`_sink_satisfied`.
-        self._ordinal_by_sink: Dict[int, int] = {
-            id(sink): ordinal for ordinal, sink in enumerate(self._sinks)}
+        #: The result sinks this document delivered into (each lists itself):
+        #: all :meth:`results` reads and :meth:`reset` clears, of ``_sinks``.
+        self._touched: List[_ResultSink] = []
+        self._sinks: List[_ResultSink] = []
         self._satisfied: set = set()
-        if self._matches_only:
-            self._seed_retired_verdicts()
-        for subscription in self._subscriptions:
-            self._register_absolute_subpaths(subscription.path)
+        self.sync()     # carries every subscription the index has now
 
     @property
     def backend(self) -> str:
@@ -228,19 +248,21 @@ class MultiMatcher(MatcherCore):
 
         Construction is the expensive part at scale — it walks every
         subscription's AST to register absolute sub-paths.  ``reset`` keeps
-        that and only clears the per-document state: sinks, satisfied
-        verdicts and the core's expectation registries.  This is what lets
-        one :class:`~repro.streaming.broker.DocumentBroker` session amortize
-        the compiled index over a continuous feed of documents.
+        that and only clears the per-document state: the result sinks the
+        document *touched* (the others are empty already — O(matches), not
+        O(N)), satisfied verdicts and the core's registries.  This is what
+        lets one :class:`~repro.streaming.broker.DocumentBroker` session
+        amortize the compiled index over a continuous feed of documents.
         """
         if self._index.generation != self._generation:
             raise StreamingError(
                 "the subscription index was vacuumed (ordinals remapped); "
                 "build a fresh matcher")
         super().reset()
-        for sink in self._sinks:
+        for sink in self._touched:
             sink.entries.clear()
             sink.satisfied = False
+        self._touched.clear()
         self._satisfied.clear()
         self._payloads = {}
         self._emitted_captures = set()
@@ -268,9 +290,8 @@ class MultiMatcher(MatcherCore):
         subscriptions = index._subscriptions
         sinks = self._sinks
         for ordinal in range(len(sinks), len(subscriptions)):
-            sink = _Sink(exists_only=self._matches_only)
-            sinks.append(sink)
-            self._ordinal_by_sink[id(sink)] = ordinal
+            sinks.append(_ResultSink(ordinal, self._touched,
+                                     self._matches_only))
             self._register_absolute_subpaths(subscriptions[ordinal].path)
         self._subscriptions = tuple(subscriptions)
         if self._matches_only:
@@ -291,11 +312,6 @@ class MultiMatcher(MatcherCore):
                 self.spawn_root_expr(subscription.path, sink, root_id)
 
     # -- substream capture -------------------------------------------------
-    def _capture_ordinal(self, sink: _Sink) -> Optional[int]:
-        """Result sinks capture; engine-internal sinks (qualifier sub-paths,
-        absolute operands) do not."""
-        return self._ordinal_by_sink.get(id(sink))
-
     def _emit_capture(self, capture) -> None:
         """Route one decided capture's payload bytes to its subscriber."""
         if capture.ordinal in self._retired:
@@ -319,15 +335,14 @@ class MultiMatcher(MatcherCore):
 
     def _sink_satisfied(self, sink) -> None:
         super()._sink_satisfied(sink)
-        ordinal = self._ordinal_by_sink.get(id(sink))
-        if (ordinal is not None and self._matches_only
-                and ordinal not in self._satisfied
-                and ordinal not in self._retired):
-            self._satisfied.add(ordinal)
+        if (self._matches_only and sink.ordinal is not None
+                and sink.ordinal not in self._retired):
+            self._satisfied.add(sink.ordinal)
 
     # -- results -----------------------------------------------------------
     def results(self) -> MultiMatchResult:
-        """Per-subscription verdicts (requires the stream to be finished)."""
+        """Per-subscription verdicts (requires the stream to be finished), read
+        off the touched sinks only, one row per match: O(matches), not O(N)."""
         if not self._finished:
             raise StreamingError("results() called before the end of the stream")
         captures = self._delivery.captures
@@ -335,37 +350,33 @@ class MultiMatcher(MatcherCore):
             # Captures whose conditions were undecided at window close are
             # settled now, with the same entry.holds() the id readout uses.
             self._drain_deferred_captures()
-        buffered_payloads = captures and self._delivery.on_payload is None
-        results: List[SubscriptionResult] = []
+        empty_payload = b"" if captures and self._delivery.on_payload is None else None
+        # Unsubscribed (possibly mid-document): no longer reported.
+        retired = frozenset(self._retired)
+        matched: Dict[int, SubscriptionResult] = {}
         total = 0
-        for subscription, sink in zip(self._subscriptions, self._sinks):
-            if subscription.ordinal in self._retired:
-                # Unsubscribed (possibly mid-document): no longer reported.
+        for sink in sorted(self._touched, key=lambda sink: sink.ordinal):
+            if sink.ordinal in retired:
+                continue
+            node_ids = sorted({entry.node_id for entry in sink.entries
+                               if entry.holds()})
+            if not (node_ids or sink.satisfied):
                 continue
             if self._matches_only:
                 # Verdict-only mode: ids of candidates that happened to be
                 # buffered before the verdict settled are not a full answer,
                 # so none are reported.
-                node_ids: List[int] = []
-                matched = sink.nonempty()
-            else:
-                node_ids = sorted({entry.node_id for entry in sink.entries
-                                   if entry.holds()})
-                matched = bool(node_ids)
-            payload: Optional[bytes] = None
-            if buffered_payloads:
-                chunks = self._payloads.get(subscription.ordinal)
-                payload = (b"".join(chunks[node_id]
-                                    for node_id in sorted(chunks))
-                           if chunks else b"")
-            results.append(SubscriptionResult(key=subscription.key,
-                                              query=subscription.source,
-                                              matched=matched,
-                                              node_ids=node_ids,
-                                              payload=payload))
+                node_ids = []
+            chunks = self._payloads.get(sink.ordinal)
+            subscription = self._subscriptions[sink.ordinal]
+            matched[sink.ordinal] = SubscriptionResult(
+                subscription.key, subscription.source, True, node_ids,
+                b"".join(chunks[node_id] for node_id in sorted(chunks))
+                if chunks else empty_payload)
             total += len(node_ids)
         self.stats.results = total
-        return MultiMatchResult(results=results, stats=self.stats)
+        return MultiMatchResult(matched, self._subscriptions, retired,
+                                empty_payload, self.stats)
 
 
 class SubscriptionIndex:

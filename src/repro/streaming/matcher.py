@@ -159,6 +159,9 @@ class _Sink:
 
     __slots__ = ("entries", "collect_values", "exists_only", "satisfied")
 
+    #: ``None``: engine-internal (qualifier sub-path, absolute operand).
+    ordinal: Optional[int] = None
+
     def __init__(self, collect_values: bool = False, exists_only: bool = False):
         self.entries: List[_Entry] = []
         self.collect_values = collect_values
@@ -166,9 +169,7 @@ class _Sink:
         self.satisfied = False
 
     def add(self, entry: _Entry) -> bool:
-        """Record a match; returns whether the entry had to be buffered."""
-        if self.satisfied:
-            return False
+        """Record a match while unsatisfied; returns whether it was buffered."""
         if self.exists_only and not entry.conditions:
             self.satisfied = True
             self.entries.clear()
@@ -183,13 +184,31 @@ class _Sink:
         return self.satisfied or bool(self.surviving())
 
 
+class _ResultSink(_Sink):
+    """A subscription's result sink: it lists itself in its session's
+    ``touched`` list on the first delivery of a document (every delivery path
+    ends in :meth:`add`), so readout and reset visit those sinks, not all N."""
+
+    __slots__ = ("ordinal", "touched")
+
+    def __init__(self, ordinal: int, touched: list, exists_only: bool):
+        super().__init__(exists_only=exists_only)
+        self.ordinal = ordinal
+        self.touched = touched
+
+    def add(self, entry: _Entry) -> bool:
+        # Entries go only when the sink satisfies, and then nothing is added.
+        if not self.entries:
+            self.touched.append(self)
+        return _Sink.add(self, entry)
+
+
 #: Shared terminal sink for deliveries that must be dropped on the floor:
 #: retired (unsubscribed) ordinals, and ordinals a live session does not
 #: carry yet because the subscription was added mid-document (live churn —
 #: see :meth:`repro.streaming.engine.MultiMatcher.sync`).  Permanently
-#: satisfied and exists-only, so :meth:`_Sink.add` rejects every entry in
-#: O(1), qualifier gates skip it, and no capture claim can attach (it is
-#: registered in no ordinal map).
+#: satisfied and exists-only, so ``add_candidate`` rejects every entry in
+#: O(1), qualifier gates skip it, no capture claim can attach (no ordinal).
 _DROPPED_SINK = _Sink(exists_only=True)
 _DROPPED_SINK.satisfied = True
 
@@ -1149,10 +1168,10 @@ class MatcherCore:
                       is_element: bool, value: Optional[str],
                       conditions: Tuple[_Condition, ...]) -> None:
         """Deliver a final-step match into a sink, buffering values if needed."""
+        if sink.satisfied:
+            return
         entry = _Entry(node_id=node_id, conditions=conditions)
-        was_satisfied = sink.satisfied
-        retained = sink.add(entry)
-        if retained:
+        if sink.add(entry):
             self.stats.candidates_buffered += 1
             if sink.collect_values:
                 if is_element or value is None:
@@ -1172,17 +1191,10 @@ class MatcherCore:
             if self._tee is not None:
                 self._capture_candidate(sink, entry, node_id, is_element,
                                         value)
-        if sink.satisfied and not was_satisfied:
+        if sink.satisfied:
             self._sink_satisfied(sink)
 
     # -- substream capture (see repro.streaming.delivery) -------------------
-    def _capture_ordinal(self, sink: _Sink) -> Optional[int]:
-        """Map a sink to the subscription ordinal it delivers for, or
-        ``None`` for engine-internal sinks (qualifier sub-paths, absolute
-        operands) whose matches are never payload.  Overridden by
-        :class:`repro.streaming.engine.MultiMatcher`."""
-        return None
-
     def _capture_candidate(self, sink: _Sink, entry: _Entry, node_id: int,
                            is_element: bool, value: Optional[str]) -> None:
         """Record the capture a just-delivered final match is entitled to.
@@ -1195,8 +1207,8 @@ class MatcherCore:
         are leaves spanning no events, rendered immediately; the document
         root opens a whole-document window.
         """
-        ordinal = self._capture_ordinal(sink)
-        if ordinal is None:
+        ordinal = sink.ordinal
+        if ordinal is None:     # engine-internal: its matches are not payload
             return
         if is_element:
             self._pending_claims.append((ordinal, entry))

@@ -41,6 +41,7 @@ from repro.xmlmodel.parser import iter_events
 from repro.xmlmodel.serialize import to_xml
 from repro.xpath.cache import QueryCache
 
+from tests.dense_oracle import assert_sparse_equals_dense, evaluate_checked
 from tests.property.strategies import documents, forward_absolute_paths
 
 SETTINGS = dict(deadline=None,
@@ -74,27 +75,42 @@ feed_documents = st.builds(
 
 
 def assert_three_way(document, queries):
-    """DFA == expectations == DOM, match sets and verdicts alike."""
+    """DFA == expectations == DOM, match sets and verdicts alike — and every
+    sparse result equal to the dense readout of its session
+    (``evaluate_checked``), in all three delivery modes."""
     events = list(document_events(document))
     index = SubscriptionIndex(cache=COMPILE_CACHE)
     for position, query in enumerate(queries):
         index.add(query, key=position)
-    dfa = index.evaluate(events, backend="dfa")
-    expectations = index.evaluate(events, backend="expectations")
+    dfa = evaluate_checked(index, events, backend="dfa")
+    expectations = evaluate_checked(index, events, backend="expectations")
     for position, query in enumerate(queries):
         dom = dom_evaluate(index.subscriptions[position].path, events)
         assert dfa[position].node_ids == expectations[position].node_ids \
             == dom.node_ids, query
         assert dfa[position].matched == expectations[position].matched \
             == dom.matched, query
-    dfa_verdicts = index.evaluate(events, delivery=VerdictDelivery(),
-                                  backend="dfa")
-    exp_verdicts = index.evaluate(events, delivery=VerdictDelivery(),
-                                  backend="expectations")
+    dfa_verdicts = evaluate_checked(index, events, delivery=VerdictDelivery(),
+                                    backend="dfa")
+    exp_verdicts = evaluate_checked(index, events, delivery=VerdictDelivery(),
+                                    backend="expectations")
     for position, query in enumerate(queries):
         assert dfa_verdicts[position].matched \
             == exp_verdicts[position].matched \
             == dfa[position].matched, query
+    # Substream: payloads buffered on the rows, or streamed to a callback
+    # (the rows then carry ``None``).
+    for backend in ("dfa", "expectations"):
+        buffered = evaluate_checked(index, events, backend=backend,
+                                    delivery=SubstreamDelivery())
+        streamed = evaluate_checked(
+            index, events, backend=backend,
+            delivery=SubstreamDelivery(on_payload=lambda *payload: None))
+        for position, query in enumerate(queries):
+            assert buffered[position].node_ids \
+                == streamed[position].node_ids \
+                == dfa[position].node_ids, (backend, query)
+            assert streamed[position].payload is None
 
 
 @given(document=documents(), queries=query_batches)
@@ -173,6 +189,9 @@ def test_flushes_inside_events_change_nothing(document, split):
         for chunks in (churned, lambda broker: [text]):
             tiny, roomy = (broker.submit("doc", chunks(broker))
                            for broker in brokers)
+            # "late" was added before the session's sync: no row yet.
+            assert_sparse_equals_dense(brokers[0].session, tiny)
+            assert_sparse_equals_dense(brokers[1].session, roomy)
             # Until its first flush the tiny cache fills exactly like the
             # roomy one, so a roomy cache past 16 entries means it flushed.
             figures = brokers[1].session._automaton.describe()

@@ -17,6 +17,11 @@ from repro.streaming import DocumentBroker, SubscriptionIndex
 from repro.xmlmodel.builder import document_events
 from repro.xmlmodel.serialize import to_xml
 
+from tests.dense_oracle import (
+    DELIVERIES,
+    assert_sparse_equals_dense,
+    evaluate_checked,
+)
 from tests.property.strategies import documents, forward_absolute_paths
 
 SETTINGS = dict(deadline=None,
@@ -46,7 +51,7 @@ def _apply_script(index, script, pool, events):
         else:
             # Evaluations between churn steps are what ties the live
             # structures to real matcher state (warm automaton, sessions).
-            index.evaluate(events)
+            evaluate_checked(index, events)
 
 
 @given(document=documents(),
@@ -64,8 +69,8 @@ def test_churned_index_equals_fresh_index_over_survivors(
     survivors = {s.key: pool[s.key] for s in index.subscriptions}
     fresh = SubscriptionIndex(survivors)
     for backend in ("dfa", "expectations"):
-        churned_result = index.evaluate(events, backend=backend)
-        fresh_result = fresh.evaluate(events, backend=backend)
+        churned_result = evaluate_checked(index, events, backend=backend)
+        fresh_result = evaluate_checked(fresh, events, backend=backend)
         assert sorted(churned_result.matching_keys) \
             == sorted(fresh_result.matching_keys), backend
         for key in survivors:
@@ -99,14 +104,59 @@ def test_broker_churn_equals_fresh_broker(document, pool, script):
             except KeyError:
                 pass
         else:
-            broker.submit("interleaved", xml)
+            interleaved = broker.submit("interleaved", xml)
+            assert_sparse_equals_dense(broker.session, interleaved)
 
     survivors = {s.key: pool[s.key] for s in broker.subscriptions}
     churned = broker.submit("final", xml)
+    assert_sparse_equals_dense(broker.session, churned)
     fresh = DocumentBroker(survivors).submit("final", xml)
     assert sorted(churned.matching_keys) == sorted(fresh.matching_keys)
     for key in survivors:
         assert churned[key].node_ids == fresh[key].node_ids, key
+
+
+@given(document=documents(),
+       pool=st.lists(forward_absolute_paths(), min_size=3, max_size=6),
+       cut=st.floats(min_value=0.0, max_value=1.0),
+       drop_late=st.booleans())
+@settings(max_examples=30, **SETTINGS)
+def test_mid_document_churn_reads_out_like_the_dense_loop(
+        document, pool, cut, drop_late):
+    """Ordinals retired mid-document and subscriptions added before the
+    session's ``sync`` (one of them retired again at once: an ordinal the
+    session never carried): the sparse result equals the dense readout, in
+    every delivery mode on both backends — and so does the next document's,
+    after ``sync`` + ``reset``, which also equals a fresh index's."""
+    events = list(document_events(document))
+    split = int(len(events) * cut)
+    for backend in ("dfa", "expectations"):
+        for delivery in DELIVERIES:
+            # vacuum_ratio=1: removals never remap ordinals under the session.
+            index = SubscriptionIndex(dict(enumerate(pool[:-1])),
+                                      vacuum_ratio=1.0)
+            matcher = index.matcher(backend=backend, delivery=delivery())
+            for event in events[:split]:
+                matcher.feed(event)
+            index.remove_subscription(0)
+            index.add_subscription("late", pool[-1])
+            index.add_subscription("later", pool[0])
+            if drop_late:
+                index.remove_subscription("late")
+            for event in events[split:]:
+                matcher.feed(event)
+            result = matcher.results()
+            assert_sparse_equals_dense(matcher, result)
+            assert [row.key for row in result] == list(range(1, len(pool) - 1))
+
+            matcher.sync()
+            matcher.reset()
+            following = matcher.process(events)
+            assert_sparse_equals_dense(matcher, following)
+            fresh = SubscriptionIndex(
+                {s.key: s.source for s in index.subscriptions}
+            ).evaluate(events, backend=backend, delivery=delivery())
+            assert following.results == fresh.results
 
 
 @given(document=documents(), query=forward_absolute_paths(),
