@@ -7,7 +7,7 @@ needs:
   with parent/child/sibling structure and a global document order,
 * :mod:`repro.xmlmodel.document` — the :class:`Document` container and a
   convenience builder for constructing documents from nested Python tuples,
-* :mod:`repro.xmlmodel.events` — SAX-like event dataclasses,
+* :mod:`repro.xmlmodel.events` — SAX-like events (immutable slotted values),
 * :mod:`repro.xmlmodel.parser` — a hand-written well-formedness-checking XML
   tokenizer plus an :mod:`xml.sax` adapter, both producing event streams,
 * :mod:`repro.xmlmodel.builder` — event stream ⇄ document conversions,

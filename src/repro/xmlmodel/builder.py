@@ -75,21 +75,21 @@ def document_events(document: Document) -> Iterator[Event]:
     answers computed by the streaming evaluator can be compared 1:1 with the
     in-memory evaluator's answers.
     """
-    yield StartDocument(node_id=document.root.position)
+    yield StartDocument(document.root.position)
 
     def walk(node: XMLNode) -> Iterator[Event]:
         if node.is_text:
-            yield Text(value=node.value or "", node_id=node.position)
+            yield Text(node.value or "", node.position)
             return
         # Attribute nodes occupy the positions right after their element in
         # the finalized document, so the attribute payload of the start event
         # implicitly carries their ids (position + 1, position + 2, ...).
-        yield StartElement(tag=node.tag or "", node_id=node.position,
-                           attributes=node.attribute_items())
+        yield StartElement(node.tag or "", node.position,
+                           node.attribute_items())
         for child in node.children:
             yield from walk(child)
-        yield EndElement(tag=node.tag or "", node_id=node.position)
+        yield EndElement(node.tag or "", node.position)
 
     for child in document.root.children:
         yield from walk(child)
-    yield EndDocument(node_id=document.root.position)
+    yield EndDocument(document.root.position)

@@ -1,36 +1,45 @@
-"""XML text parsing: a hand-written tokenizer and an ``xml.sax`` adapter.
+"""XML text parsing: a push tokenizer over one compiled grammar, and an
+``xml.sax`` adapter.
 
 Two independent front ends produce the same event stream:
 
-* :class:`PushTokenizer` / :func:`iter_events` — a small, dependency-free
-  tokenizer for the simplified XML dialect of the paper extended with
-  attributes (elements, attributes and character data; comments, processing
-  instructions and the XML declaration are accepted on input but dropped,
-  matching Section 2 "specificities of XML that are irrelevant to the issue
-  of concern are left out").  Attributes are parsed from start tags — quoted
-  values with either quote style, entity references inside values, XML
-  whitespace normalization — and delivered on the
-  :class:`~repro.xmlmodel.events.StartElement` event.  The tokenizer is
-  *incremental*: input arrives through ``feed(chunk)`` in arbitrarily split
-  ``str``/``bytes`` pieces — mid-tag, mid-attribute-value, mid-entity,
-  mid-CDATA — and events come out as soon as they are complete.
-  :func:`iter_events` is a thin pull-mode wrapper over it.
-* :func:`iter_events_sax` — the same stream produced through the standard
-  library's :mod:`xml.sax` parser, useful as a cross-check and for documents
-  that use the full XML syntax.
+* :class:`PushTokenizer` / :func:`iter_events` — a dependency-free tokenizer
+  for the paper's XML dialect with attributes; comments, processing
+  instructions and declarations are dropped (Section 2 leaves out "the
+  specificities of XML that are irrelevant").  It lexes with one compiled
+  grammar, ``_TOKEN_RE``: one match at the scan position holds the
+  character data up to the next ``<`` and the element tag there — start tag
+  name, attribute spans (split by ``_ATTRIBUTE_RE``) and empty-element
+  slash, or end tag name.  Any other ``<`` opens a comment, PI, CDATA
+  section or ``<!DOCTYPE`` (ended with ``str.find``), a tag cut by the end
+  of the input so far (its ``>`` is sought from where the last chunk
+  ended), or a malformed tag, re-read by :func:`_diagnose_tag` only to
+  raise.
+* :func:`iter_events_sax` — the same stream through :mod:`xml.sax`.
 
 Both yield :class:`repro.xmlmodel.events.Event` objects with document-order
-node ids, and both can feed either the tree builder or the streaming
-evaluator directly.
+node ids, and agree on what is well formed (a differential fuzz over
+malformed input referees it) but for these tested leniencies of the
+tokenizer:
+
+* a document without an element (empty, or only whitespace, comments and
+  processing instructions) is ``StartDocument, EndDocument``;
+* ``<!DOCTYPE …>`` is skipped wherever it appears; its internal subset ends
+  at the first ``]>`` and declares nothing (SAX expands the entities it
+  declares; here a reference to one is an unknown entity);
+* any non-ASCII character is accepted in a name;
+* the XML declaration must start the document, but its content is not
+  checked.
 """
 
 from __future__ import annotations
 
 import codecs
 import io
+import re
 import xml.sax
 import xml.sax.handler
-from typing import Iterator, List, Tuple, Union
+from typing import Iterator, List, NoReturn, Tuple, Union
 
 from repro.errors import XMLSyntaxError
 from repro.xmlmodel.builder import build_document
@@ -44,147 +53,117 @@ from repro.xmlmodel.events import (
     Text,
 )
 
-_ENTITY_TABLE = {
-    "lt": "<",
-    "gt": ">",
-    "amp": "&",
-    "quot": '"',
-    "apos": "'",
-}
+#: XML's ``S`` production.  Not ``\s``, which also takes ``\x0b``, ``\x85``…
+_S = "[ \t\r\n]"
+_WHITESPACE = " \t\r\n"
+#: XML's ``Name`` over ASCII; any non-ASCII character is admitted.
+_NAME = r"[:A-Z_a-z\u0080-\U0010ffff][-.0-9:A-Z_a-z\u0080-\U0010ffff]*"
+_NAME_RE = re.compile(_NAME)
+#: The tag grammar.  Matched at the scan position it cannot fail: group 1 is
+#: the character data up to the next ``<`` or the end of the buffer; when
+#: that ``<`` opens a complete, well-formed element tag, groups 2-4 are a
+#: start tag's name, attribute spans and empty-element slash, or group 5 an
+#: end tag's name.  (No atomic groups or possessive quantifiers: Python 3.9.)
+_TOKEN_RE = re.compile(
+    rf"""([^<]*)(?:<(?:({_NAME})((?:{_S}+{_NAME}{_S}*={_S}*"""
+    rf"""(?:"[^<"]*"|'[^<']*'))*){_S}*(/?)>|/({_NAME}){_S}*>)?)?""")
+#: One attribute within spans the grammar took: its name and quoted value.
+_ATTRIBUTE_RE = re.compile(rf"""([^ \t\r\n=]+){_S}*={_S}*("[^"]*"|'[^']*')""")
+#: One attribute as :func:`_diagnose_tag` reads it: name, ``=``, quote.
+_LOOSE_ATTRIBUTE_RE = re.compile(rf"""{_S}*([^ \t\r\n=]*){_S}*(=?){_S}*(["']?)""")
+#: Text between quotes, while looking for the ``>`` of a cut tag.
+_TAG_TEXT_RE = re.compile(r"""[^"'>]*""")
+#: Characters outside XML's ``Char`` production, illegal anywhere.
+_ILLEGAL_CHAR_RE = re.compile(r"[\x00-\x08\x0b\x0c\x0e-\x1f\ud800-\udfff\ufffe\uffff]")
+_NOT_SPACE_RE = re.compile(r"[^ \t\r\n]")
+_PI_TARGET_RE = re.compile(rf"({_NAME})(?:{_S}|\Z)")
+#: A complete ``<!DOCTYPE …>``; an internal subset ends at the first ``]>``.
+_DOCTYPE_RE = re.compile(rf"<!DOCTYPE{_S}[^\[>]*(?:\[.*\]{_S}*)?>", re.DOTALL)
+_CHAR_REF_RE = re.compile(r"#([0-9]+)|#x([0-9a-fA-F]+)")
+#: What :func:`_unescape` rewrites: references (name, ``;`` if terminated)
+#: and line ends; in attribute values also tabs and newlines.
+_TEXT_ESCAPE_RE = re.compile(r"&([^&;]*)(;?)|\r\n?")
+_VALUE_ESCAPE_RE = re.compile(r"&([^&;]*)(;?)|\r\n?|[\t\n]")
+_ENTITY_TABLE = {"lt": "<", "gt": ">", "amp": "&", "quot": '"', "apos": "'"}
 
 
-def _decode_entities(raw: str, offset: int) -> str:
-    """Replace the five predefined XML entities in character data."""
-    if "&" not in raw:
-        return raw
-    out: List[str] = []
-    i = 0
-    while i < len(raw):
-        char = raw[i]
-        if char != "&":
-            out.append(char)
-            i += 1
-            continue
-        end = raw.find(";", i + 1)
-        if end == -1:
-            raise XMLSyntaxError("unterminated entity reference", offset + i)
-        name = raw[i + 1:end]
-        if name.startswith("#x") or name.startswith("#X"):
-            out.append(chr(int(name[2:], 16)))
-        elif name.startswith("#"):
-            out.append(chr(int(name[1:])))
-        elif name in _ENTITY_TABLE:
-            out.append(_ENTITY_TABLE[name])
-        else:
-            raise XMLSyntaxError(f"unknown entity &{name};", offset + i)
-        i = end + 1
-    return "".join(out)
+def _unescape(raw: str, offset: int, pattern=_TEXT_ESCAPE_RE,
+              newline: str = "\n") -> str:
+    """Decode references and normalize line ends in one pass over ``raw``
+    (at document offset ``offset``): ``\\r\\n`` and ``\\r`` become
+    ``newline``, as do tabs and newlines under ``_VALUE_ESCAPE_RE``.  That
+    precedes reference decoding (``&#13;`` survives), as XML prescribes and
+    expat implements; a character reference must name an XML ``Char``."""
+    def replace(match):
+        name, semicolon = match.groups()
+        if name is None:
+            return newline
+        if not semicolon:
+            raise XMLSyntaxError("unterminated entity reference", offset + match.start())
+        if name in _ENTITY_TABLE:
+            return _ENTITY_TABLE[name]
+        number = _CHAR_REF_RE.fullmatch(name)
+        if number is None:
+            kind = "character reference" if name[:1] == "#" else "entity"
+            raise XMLSyntaxError(f"unknown {kind} &{name};", offset + match.start())
+        decimal, hexadecimal = number.groups()
+        code = int(decimal) if decimal else int(hexadecimal, 16)
+        if not (code in (0x9, 0xA, 0xD) or 0x20 <= code <= 0xD7FF
+                or 0xE000 <= code <= 0xFFFD or 0x10000 <= code <= 0x10FFFF):
+            raise XMLSyntaxError(f"&{name}; is not an XML character", offset + match.start())
+        return chr(code)
+
+    return pattern.sub(replace, raw)
 
 
-def _parse_tag_name(content: str, offset: int) -> str:
-    """Extract the element name from the inside of a (closing) tag."""
-    name = content.split()[0] if content.split() else ""
-    if not name:
-        raise XMLSyntaxError("empty tag name", offset)
-    return name
+def _diagnose_tag(content: str, offset: int) -> NoReturn:
+    """Raise the first error, in document order, of an element tag the
+    grammar did not take or whose attributes repeat a name.  ``content`` is
+    the tag between ``<`` and ``>``, ``offset`` the offset of its ``<``;
+    positions are ``offset`` plus an index into ``content`` — one short of
+    the character meant, where these errors have always been reported."""
+    def fail(message: str, index: int = 0) -> NoReturn:
+        raise XMLSyntaxError(message, offset + index)
 
-
-_WHITESPACE = " \t\n\r"
-
-
-def _normalize_attribute_value(raw: str, offset: int) -> str:
-    """Decode an attribute value: whitespace normalization, then entities.
-
-    XML end-of-line handling collapses a literal ``\\r\\n`` pair to one
-    newline first; then literal tabs/newlines become spaces, all *before*
-    entity decoding so character references (``&#10;``) survive verbatim —
-    the order prescribed by the XML attribute-value normalization algorithm
-    and implemented by expat, keeping the hand tokenizer byte-for-byte
-    compatible with the :mod:`xml.sax` front end.
-    """
-    if "\r" in raw:
-        raw = raw.replace("\r\n", "\n")
-    for char in "\t\n\r":
-        if char in raw:
-            raw = raw.replace(char, " ")
-    return _decode_entities(raw, offset)
-
-
-def _parse_start_tag(content: str, offset: int):
-    """Parse the inside of a start tag into ``(name, attributes)``.
-
-    ``attributes`` is a tuple of ``(name, value)`` pairs in document order.
-    Values must be quoted (either quote style); the five predefined entities
-    and character references are decoded; duplicate attribute names are
-    rejected, as the SAX front end rejects them.
-    """
-    length = len(content)
-    i = 0
-    while i < length and content[i] not in _WHITESPACE:
-        i += 1
-    name = content[:i]
-    if not name:
-        raise XMLSyntaxError("empty tag name", offset)
-    attributes = []
+    if content[:1] == "/":
+        fail(f"malformed closing tag <{content}>")
+    if content[-1:] == "/":
+        content = content[:-1]
+    name = re.match(r"[^ \t\r\n]*", content).group()
+    if not _NAME_RE.fullmatch(name):
+        fail(f"malformed tag name {name!r}" if name else "empty tag name")
     seen = set()
+    end = len(name)
     while True:
-        while i < length and content[i] in _WHITESPACE:
-            i += 1
-        if i >= length:
-            break
-        start = i
-        while i < length and content[i] not in _WHITESPACE and content[i] != "=":
-            i += 1
-        attr_name = content[start:i]
-        if not attr_name or not (attr_name[0].isalpha()
-                                 or attr_name[0] in "_:"):
-            raise XMLSyntaxError(
-                f"malformed attribute name {attr_name!r} in <{name}> tag",
-                offset + start)
-        while i < length and content[i] in _WHITESPACE:
-            i += 1
-        if i >= length or content[i] != "=":
-            raise XMLSyntaxError(
-                f"attribute {attr_name!r} is missing '=value'", offset + i)
-        i += 1
-        while i < length and content[i] in _WHITESPACE:
-            i += 1
-        if i >= length or content[i] not in "\"'":
-            raise XMLSyntaxError(
-                f"attribute {attr_name!r} requires a quoted value",
-                offset + i)
-        quote = content[i]
-        i += 1
-        end = content.find(quote, i)
+        attribute = _LOOSE_ATTRIBUTE_RE.match(content, end)
+        attr_name, equals, quote = attribute.groups()
+        start, value_start = attribute.start(1), attribute.end()
+        if start == len(content):
+            fail(f"malformed tag <{content}>")
+        what = f"attribute {attr_name!r}"
+        if not _NAME_RE.fullmatch(attr_name):
+            fail(f"malformed attribute name {attr_name!r} in <{name}> tag", start)
+        if not equals:
+            fail(f"{what} is missing '=value'", attribute.start(2))
+        if not quote:
+            fail(f"{what} requires a quoted value", attribute.start(3))
+        end = content.find(quote, value_start)
         if end == -1:
-            raise XMLSyntaxError(
-                f"unterminated value of attribute {attr_name!r}", offset + i)
-        if "<" in content[i:end]:
-            # XML 1.0 forbids a raw '<' in attribute values (write &lt;);
-            # the SAX front end rejects it, so the hand tokenizer must too.
-            raise XMLSyntaxError(
-                f"literal '<' in value of attribute {attr_name!r}",
-                offset + i)
+            fail(f"unterminated value of {what}", value_start)
+        if "<" in content[value_start:end]:
+            fail(f"literal '<' in value of {what}", value_start)
         if attr_name in seen:
-            raise XMLSyntaxError(
-                f"duplicate attribute {attr_name!r} in <{name}> tag",
-                offset + start)
+            fail(f"duplicate attribute {attr_name!r} in <{name}> tag", start)
         seen.add(attr_name)
-        attributes.append(
-            (attr_name, _normalize_attribute_value(content[i:end], offset + i)))
-        i = end + 1
-        if i < length and content[i] not in _WHITESPACE:
-            # '<a x="1"y="2">' — conforming parsers (and the SAX front end)
-            # require whitespace between attributes.
-            raise XMLSyntaxError(
-                f"missing whitespace after attribute {attr_name!r} in "
-                f"<{name}> tag", offset + i)
-    return name, tuple(attributes)
+        _unescape(content[value_start:end], offset + value_start, _VALUE_ESCAPE_RE, " ")
+        end += 1
+        if end < len(content) and content[end] not in _WHITESPACE:
+            fail(f"missing whitespace after {what} in <{name}> tag", end)
 
 
 #: Markup openers that need more than two characters to classify.  A buffer
 #: that is a proper prefix of one of these cannot be tokenized yet.
-_AMBIGUOUS_OPENERS = ("<!--", "<![CDATA[")
+_AMBIGUOUS_OPENERS = ("<!--", "<![CDATA[", "<!DOCTYPE")
 
 Chunk = Union[str, bytes, bytearray, memoryview]
 
@@ -192,53 +171,40 @@ Chunk = Union[str, bytes, bytearray, memoryview]
 class PushTokenizer:
     """Incremental (push-mode) tokenizer for the paper's XML dialect.
 
-    Input arrives through :meth:`feed` as ``str`` or ``bytes`` chunks split
-    at *arbitrary* positions — in the middle of a tag, an entity reference, a
-    comment, a processing instruction, a CDATA section, or (for bytes) a
-    multi-byte UTF-8 sequence.  Each call returns the events that became
-    complete; :meth:`close` ends the document, returning the final events
-    (at least :class:`~repro.xmlmodel.events.EndDocument`).
-
-    The event stream — ids, coalescing, whitespace handling, errors — is
-    identical to tokenizing the concatenated input in one go, a property the
-    chunk-boundary tests assert at every 1-byte split.
-    ``StartDocument`` is emitted by the first ``feed`` (or by ``close`` on an
-    empty document).
-
-    Only the *current incomplete construct* is buffered: completed character
-    data and markup are consumed as soon as their end is visible, so memory
-    is bounded by the largest single token, not by the document.
+    :meth:`feed` takes ``str`` or ``bytes`` chunks split *anywhere* — inside
+    a tag, a value, a reference, a comment, a CDATA section or a UTF-8
+    sequence — and returns the events they complete; :meth:`close` ends the
+    document.  Events, errors and error positions are those of the whole
+    input fed at once.  Only the construct in progress is buffered, so
+    memory is bounded by the largest token, not by the document.
     """
 
     def __init__(self, keep_whitespace: bool = False):
         self._keep_whitespace = keep_whitespace
         self._decoder = None  # incremental UTF-8 decoder, created on demand
-        #: Unconsumed input.  Invariant after every scan: empty, or starts
-        #: with the ``<`` of an incomplete markup construct.
+        #: Unconsumed input: after every scan empty, or an incomplete
+        #: construct from its ``<``, which is at document offset ``_base``.
         self._buf = ""
-        #: Absolute document offset of ``_buf[0]`` (for error positions).
         self._base = 0
-        #: Resume point for terminator searches inside an incomplete
-        #: construct, so byte-at-a-time feeding does not rescan the construct
-        #: from its start on every call.
+        self._origin = 0  # where the document starts: 1 after a BOM
+        #: Where to resume looking for the end of the incomplete construct
+        #: (relative to its start) and, in a tag, the quote left open, so a
+        #: construct fed byte by byte is scanned once, not once per byte.
         self._search_from = 0
-        #: Open quote character while resuming inside an element tag whose
-        #: attribute value contains ``>`` (the tag-end scan is quote-aware).
         self._tag_quote = ""
+        #: Chunks without a ``>`` fed meanwhile: every construct ends with
+        #: one, so they are joined to ``_buf`` only when it can end.
+        self._held: List[str] = []
         self._next_id = 1
         self._open_tags: List[Tuple[str, int]] = []  # (tag, node_id)
-        #: Undecoded character data of the current run (between two markup
-        #: constructs); decoded as one unit so entity references may span
-        #: chunk boundaries but never markup.
+        #: A character-data run cut by a chunk boundary, decoded when whole.
         self._raw_parts: List[str] = []
         self._raw_start = 0
-        #: Decoded runs awaiting the flush that the next element tag forces;
-        #: runs separated only by dropped markup coalesce here.
+        #: Decoded runs (and CDATA) awaiting the next tag, to form one Text.
         self._pending_text: List[str] = []
         self._started = False
         self._closed = False
 
-    # -- input decoding ----------------------------------------------------
     def _decode(self, chunk: Chunk) -> str:
         if isinstance(chunk, str):
             if self._decoder is not None and self._decoder.getstate()[0]:
@@ -255,117 +221,216 @@ class PushTokenizer:
                 raise XMLSyntaxError(f"undecodable UTF-8 input: {exc}") from exc
         raise TypeError(f"expected str or bytes chunk, got {type(chunk).__name__}")
 
-    # -- public API --------------------------------------------------------
+    def _start(self) -> List[Event]:
+        if self._closed:
+            raise XMLSyntaxError("PushTokenizer used after close()")
+        if self._started:
+            return []
+        self._started = True
+        return [StartDocument(0)]
+
     def feed(self, chunk: Chunk) -> List[Event]:
         """Consume one chunk; return the events completed by it."""
-        if self._closed:
-            raise XMLSyntaxError("feed() called on a closed PushTokenizer")
-        events: List[Event] = []
-        if not self._started:
-            self._started = True
-            events.append(StartDocument(node_id=0))
+        events = self._start()
         text = self._decode(chunk)
+        if text[:1] == "\ufeff" and not self._base and not self._buf:
+            text = text[1:]  # a byte order mark, not character data
+            self._base = self._origin = 1
         if text:
-            self._buf += text
-            self._scan(events)
+            illegal = _ILLEGAL_CHAR_RE.search(text)
+            if illegal is not None:
+                # Tokenize up to it first: an earlier error wins, however
+                # the input was split.
+                text = text[:illegal.start()]
+            self._held.append(text)
+            if not self._search_from or ">" in text:
+                self._buf += "".join(self._held)
+                self._held.clear()
+                self._scan(events)
+            if illegal is not None:
+                raise XMLSyntaxError(
+                    f"character {illegal.group()!r} is not allowed in XML",
+                    self._base + len(self._buf) + sum(map(len, self._held)))
         return events
 
     def close(self) -> List[Event]:
-        """End the document; return the remaining events.
-
-        Raises :class:`XMLSyntaxError` if the input so far is not a complete
-        well-formed document (unterminated construct, unclosed element,
-        truncated UTF-8 sequence).
-        """
-        if self._closed:
-            raise XMLSyntaxError("close() called twice on PushTokenizer")
-        events: List[Event] = []
-        if not self._started:
-            self._started = True
-            events.append(StartDocument(node_id=0))
+        """End the document; return the remaining events.  Raises
+        :class:`XMLSyntaxError` if the input is not a complete document."""
+        events = self._start()
+        self._closed = True
         if self._decoder is not None:
             try:
                 self._decoder.decode(b"", final=True)
             except UnicodeDecodeError as exc:
                 raise XMLSyntaxError(
                     f"truncated UTF-8 sequence at end of input: {exc}") from exc
-        self._closed = True
-        buf = self._buf
-        if buf:
-            # After a scan the buffer can only hold incomplete markup.
-            if buf.startswith("<![CDATA["):
-                raise XMLSyntaxError("unterminated CDATA section", self._base)
-            if buf.startswith("<!--"):
-                raise XMLSyntaxError("unterminated comment", self._base)
-            if buf.startswith("<?"):
-                raise XMLSyntaxError(
-                    "unterminated processing instruction", self._base)
-            raise XMLSyntaxError("unterminated tag", self._base)
-        self._flush_raw()
+        # After a scan the buffer can only hold incomplete markup.
+        for opener, construct in (("<![CDATA[", "CDATA section"), ("<!--", "comment"),
+                                  ("<?", "processing instruction"), ("<", "tag")):
+            if self._buf.startswith(opener):
+                raise XMLSyntaxError(f"unterminated {construct}", self._base)
+        if self._raw_parts:
+            self._flush_raw()
         if self._open_tags:
-            tag, _ = self._open_tags[-1]
-            raise XMLSyntaxError(
-                f"unclosed element <{tag}> at end of document", self._base)
-        self._flush_pending(events)
-        events.append(EndDocument(node_id=0))
+            raise XMLSyntaxError(f"unclosed element <{self._open_tags[-1][0]}> "
+                                 "at end of document", self._base)
+        events.append(EndDocument(0))
         return events
 
     @property
     def closed(self) -> bool:
         return self._closed
 
-    # -- scanning ----------------------------------------------------------
-    def _trim(self, count: int) -> None:
-        """Drop the consumed prefix of the buffer (once per scan, so the
-        per-token cost stays O(token), not O(remaining buffer))."""
-        if count:
-            self._buf = self._buf[count:]
-            self._base += count
-
-    def _flush_raw(self) -> None:
-        """Decode the completed character-data run into the pending buffer."""
-        if not self._raw_parts:
-            return
-        raw = "".join(self._raw_parts)
-        self._raw_parts.clear()
-        bad = raw.find("]]>")
-        if bad != -1:
-            # XML 1.0 §2.4: "]]>" must not appear in character data except
-            # closing a CDATA section (escape it as "]]&gt;").  Checked on
-            # the raw run before entity decoding — "&#93;&#93;&gt;" stays
-            # legal — and after joining, so a "]]"/">" chunk split cannot
-            # slip through.  The expat front end rejects this; accepting it
-            # here would silently diverge the two tokenizers.
-            raise XMLSyntaxError("']]>' not allowed in character data",
-                                 self._raw_start + bad)
-        self._pending_text.append(_decode_entities(raw, self._raw_start))
-
-    def _flush_pending(self, events: List[Event]) -> None:
-        """Emit the coalesced character data as one :class:`Text` event."""
-        if not self._pending_text:
-            return
-        value = "".join(self._pending_text)
-        self._pending_text.clear()
-        if not self._open_tags:
-            # Character data outside the open element tree is dropped, as in
-            # the SAX adapter.
-            return
-        if not self._keep_whitespace:
-            value = value.strip()
-            if not value:
+    def _scan(self, events: List[Event]) -> None:
+        buf = self._buf
+        length = len(buf)
+        pos = 0
+        if self._search_from and buf[1] not in "?!":
+            # A tag cut by a chunk boundary: look for its ``>`` from where the
+            # previous chunk ended instead of matching it from its start.
+            if self._scan_tag_end(buf, 0) == -1:
                 return
-        events.append(Text(value=value, node_id=self._next_id))
-        self._next_id += 1
+        match = _TOKEN_RE.match
+        emit = events.append
+        open_tags = self._open_tags
+        raw_parts = self._raw_parts
+        pending = self._pending_text
+        next_id = self._next_id
+        while pos < length:
+            token = match(buf, pos)
+            text, tag, spans, empty, end_tag = token.groups()
+            value = ""
+            if text:
+                # The common run — alone before a tag, inside the root, with
+                # nothing to check or decode — skips the run buffers.
+                if (raw_parts or pending or tag is end_tag or not open_tags
+                        or "&" in text or "\r" in text or "]]>" in text):
+                    if not raw_parts:
+                        self._raw_start = self._base + pos
+                    raw_parts.append(text)
+                else:
+                    value = text
+                pos += len(text)
+                if pos == length:
+                    break  # the run may go on in the next chunk: decoded when whole
+            if raw_parts:
+                self._flush_raw()  # ``<`` ends the run whatever follows
+            if tag is None and end_tag is None:
+                end = self._markup(buf, pos)
+                if end == -1:
+                    break
+                pos = end
+                continue
+            if pending:
+                value = "".join(pending)
+                pending.clear()
+            if value and not self._keep_whitespace:
+                value = value.strip()
+            if value:
+                emit(Text(value, next_id))
+                next_id += 1
+            if tag is not None:
+                if not open_tags and next_id != 1:
+                    raise XMLSyntaxError("second root element", self._base + pos)
+                attributes = self._attributes(buf, token) if spans else ()
+                emit(StartElement(tag, next_id, attributes))
+                if empty:
+                    emit(EndElement(tag, next_id))
+                else:
+                    open_tags.append((tag, next_id))
+                # Attribute nodes claim the ids right after their element.
+                next_id += 1 + len(attributes)
+            elif not open_tags:
+                raise XMLSyntaxError(f"closing tag </{end_tag}> with no open element",
+                                     self._base + pos)
+            else:
+                expected, node_id = open_tags.pop()
+                if expected != end_tag:
+                    raise XMLSyntaxError(
+                        f"mismatched closing tag </{end_tag}>, "
+                        f"expected </{expected}>", self._base + pos)
+                emit(EndElement(end_tag, node_id))
+            pos = token.end()
+        self._next_id = next_id
+        # Trim once per scan: per-token cost O(token), not O(rest of buffer).
+        self._buf = buf[pos:]
+        self._base += pos
+
+    def _attributes(self, buf: str, token) -> Tuple[Tuple[str, str], ...]:
+        """The ``(name, value)`` pairs of a start tag the grammar took."""
+        found = list(_ATTRIBUTE_RE.finditer(buf, token.start(3), token.end(3)))
+        if len(found) > 1 and len({a.group(1) for a in found}) < len(found):
+            _diagnose_tag(buf[token.end(1) + 1:token.end() - 1],
+                          self._base + token.end(1))
+        attributes = []
+        for attribute in found:
+            value = attribute.group(2)[1:-1]
+            if _VALUE_ESCAPE_RE.search(value):
+                # Errors at the opening quote, where they were always reported.
+                offset = self._base + attribute.start(2)
+                value = _unescape(value, offset, _VALUE_ESCAPE_RE, " ")
+            attributes.append((attribute.group(1), value))
+        return tuple(attributes)
+
+    def _markup(self, buf: str, pos: int) -> int:
+        """Consume the construct at ``buf[pos] == "<"`` that the grammar did
+        not take; return the position after it, or -1 while it is incomplete.
+        Comments, PIs and ``<!DOCTYPE`` are dropped, CDATA is character data,
+        an element tag here is cut short or malformed."""
+        position = self._base + pos
+        if len(buf) - pos < 2:
+            return -1
+        if buf[pos + 1] == "?":
+            end = self._scan_to(buf, "?>", pos, pos + 2)
+            if end == -1:
+                return -1
+            # The target is a name; ``xml`` (any case) is reserved for the
+            # declaration, which must start the document.
+            target = _PI_TARGET_RE.match(buf, pos + 2, end)
+            if target is None or (target.group(1).lower() == "xml" and (
+                    target.group(1) != "xml" or position != self._origin)):
+                raise XMLSyntaxError("malformed processing instruction",
+                                     position)
+            return end + 2
+        if buf[pos + 1] != "!":
+            end = self._scan_tag_end(buf, pos)
+            if end == -1:
+                return -1
+            _diagnose_tag(buf[pos + 1:end], position)
+        if buf.startswith("<!--", pos):
+            end = self._scan_to(buf, "-->", pos, pos + 4)
+            if end == -1:
+                return -1
+            # "--" may not occur inside, nor "-" right before the "-->".
+            if buf.find("--", pos + 4, end + 1) != -1:
+                raise XMLSyntaxError("'--' not allowed in a comment", position)
+            return end + 3
+        if buf.startswith("<![CDATA[", pos):
+            end = self._scan_to(buf, "]]>", pos, pos + 9)
+            if end == -1:
+                return -1
+            if not self._open_tags:
+                raise XMLSyntaxError(
+                    "CDATA section outside the document element", position)
+            if end > pos + 9:  # line ends normalized, references kept
+                content = buf[pos + 9:end]
+                if "\r" in content:
+                    content = content.replace("\r\n", "\n").replace("\r", "\n")
+                self._pending_text.append(content)
+            return end + 3
+        if buf.startswith("<!DOCTYPE", pos):
+            end = self._scan_to(buf, ">", pos, pos + 9)
+            while end != -1 and not _DOCTYPE_RE.fullmatch(buf, pos, end + 1):
+                end = self._scan_to(buf, ">", pos, end + 1)
+            return -1 if end == -1 else end + 1
+        if any(opener.startswith(buf[pos:pos + 9])
+               for opener in _AMBIGUOUS_OPENERS):
+            return -1  # could still become one of them
+        raise XMLSyntaxError("malformed markup declaration", position)
 
     def _scan_to(self, buf: str, terminator: str, construct_start: int,
                  default_start: int) -> int:
-        """Find ``terminator``, remembering progress on a miss.
-
-        ``_search_from`` is kept relative to the construct's own start
-        (which becomes buffer position 0 after the trailing trim), so a
-        construct fed byte by byte is not rescanned from its beginning on
-        every call.
-        """
+        """Find ``terminator``, remembering progress on a miss."""
         start = max(default_start, construct_start + self._search_from)
         position = buf.find(terminator, start)
         if position == -1:
@@ -378,128 +443,55 @@ class PushTokenizer:
             self._search_from = 0
         return position
 
-    def _scan_tag_end(self, buf: str, construct_start: int) -> int:
-        """Find the ``>`` closing an element tag, skipping quoted values.
-
-        Attribute values may contain a literal ``>``, so the plain
-        terminator search of :meth:`_scan_to` would truncate the tag.  Like
-        :meth:`_scan_to` this resumes where the previous miss stopped
-        (``_search_from``), additionally carrying the open-quote state across
-        chunk boundaries in ``_tag_quote``.
-        """
-        start = max(construct_start + 1,
-                    construct_start + self._search_from)
+    def _scan_tag_end(self, buf: str, start: int) -> int:
+        """Find the ``>`` ending the element tag at ``start``, stepping over
+        quoted values (they may hold ``>``); -1 if it is not in ``buf`` yet.
+        Resumes where the previous miss stopped, like :meth:`_scan_to`."""
+        i = start + max(1, self._search_from)
         quote = self._tag_quote
-        length = len(buf)
-        i = start
-        while i < length:
-            char = buf[i]
+        while True:
             if quote:
-                if char == quote:
-                    quote = ""
-            elif char == '"' or char == "'":
-                quote = char
-            elif char == ">":
+                i = buf.find(quote, i) + 1
+                if not i:
+                    i = len(buf)
+                    break
+                quote = ""
+            i = _TAG_TEXT_RE.match(buf, i).end()
+            if i == len(buf):
+                break
+            if buf[i] == ">":
                 self._search_from = 0
                 self._tag_quote = ""
                 return i
+            quote = buf[i]
             i += 1
-        self._search_from = length - construct_start
+        self._search_from = i - start
         self._tag_quote = quote
         return -1
 
-    def _scan(self, events: List[Event]) -> None:
-        buf = self._buf
-        length = len(buf)
-        pos = 0
-        while pos < length:
-            if buf[pos] != "<":
-                if not self._raw_parts:
-                    self._raw_start = self._base + pos
-                lt = buf.find("<", pos)
-                if lt == -1:
-                    # The run may continue in the next chunk (and an entity
-                    # reference may be split): keep it undecoded.
-                    self._raw_parts.append(buf[pos:])
-                    pos = length
-                    break
-                self._raw_parts.append(buf[pos:lt])
-                pos = lt
-                continue
-            # ``<`` terminates the character-data run whatever markup follows.
-            self._flush_raw()
-            if length - pos < 2:
-                break
-            second = buf[pos + 1]
-            if second == "?":
-                end = self._scan_to(buf, "?>", pos, pos + 2)
-                if end == -1:
-                    break
-                # Dropped; surrounding character data coalesces across it.
-                pos = end + 2
-                continue
-            if second == "!":
-                if buf.startswith("<!--", pos):
-                    end = self._scan_to(buf, "-->", pos, pos + 4)
-                    if end == -1:
-                        break
-                    pos = end + 3
-                    continue
-                if buf.startswith("<![CDATA[", pos):
-                    end = self._scan_to(buf, "]]>", pos, pos + 9)
-                    if end == -1:
-                        break
-                    # CDATA is verbatim character data: no entity decoding,
-                    # and it coalesces with surrounding text runs.
-                    if end > pos + 9:
-                        self._pending_text.append(buf[pos + 9:end])
-                    pos = end + 3
-                    continue
-                head = buf[pos:pos + 9]  # the longest ambiguous opener
-                if any(opener.startswith(head)
-                       for opener in _AMBIGUOUS_OPENERS):
-                    # Could still become a comment or CDATA section.
-                    break
-                # Doctype and other declarations: ignored by the model.
-                end = self._scan_to(buf, ">", pos, pos + 2)
-                if end == -1:
-                    break
-                pos = end + 1
-                continue
-            close = self._scan_tag_end(buf, pos)
-            if close == -1:
-                break
-            content = buf[pos + 1:close]
-            position = self._base + pos
-            self._flush_pending(events)
-            if content.startswith("/"):
-                tag = _parse_tag_name(content[1:], position)
-                if not self._open_tags:
-                    raise XMLSyntaxError(
-                        f"closing tag </{tag}> with no open element", position)
-                expected, node_id = self._open_tags.pop()
-                if expected != tag:
-                    raise XMLSyntaxError(
-                        f"mismatched closing tag </{tag}>, "
-                        f"expected </{expected}>", position)
-                events.append(EndElement(tag=tag, node_id=node_id))
-            elif content.endswith("/"):
-                tag, attributes = _parse_start_tag(content[:-1], position)
-                node_id = self._next_id
-                events.append(StartElement(tag=tag, node_id=node_id,
-                                           attributes=attributes))
-                events.append(EndElement(tag=tag, node_id=node_id))
-                # Attribute nodes claim the ids right after their element.
-                self._next_id += 1 + len(attributes)
-            else:
-                tag, attributes = _parse_start_tag(content, position)
-                node_id = self._next_id
-                events.append(StartElement(tag=tag, node_id=node_id,
-                                           attributes=attributes))
-                self._open_tags.append((tag, node_id))
-                self._next_id += 1 + len(attributes)
-            pos = close + 1
-        self._trim(pos)
+    def _flush_raw(self) -> None:
+        """Check and decode the completed character-data run (non-empty
+        ``_raw_parts``) into the pending text."""
+        raw = "".join(self._raw_parts)
+        self._raw_parts.clear()
+        start = self._raw_start
+        if not self._open_tags:
+            # Outside the document element only whitespace may appear
+            # (XML's ``Misc``); it is dropped, as in the SAX adapter.
+            junk = _NOT_SPACE_RE.search(raw)
+            if junk is not None:
+                raise XMLSyntaxError("character data outside the document element",
+                                     start + junk.start())
+            return
+        bad = raw.find("]]>")
+        if bad != -1:
+            # XML 1.0 §2.4: "]]>" only closes a CDATA section.  Checked on
+            # the joined raw run, so "&#93;&#93;&gt;" stays legal and a
+            # "]]"/">" chunk split cannot slip through.
+            raise XMLSyntaxError("']]>' not allowed in character data", start + bad)
+        if "&" in raw or "\r" in raw:
+            raw = _unescape(raw, start)
+        self._pending_text.append(raw)
 
 
 #: Chunk size used by :func:`iter_events` when driving the push tokenizer;
@@ -508,30 +500,12 @@ _PULL_CHUNK = 1 << 16
 
 
 def iter_events(xml_text: str, keep_whitespace: bool = False) -> Iterator[Event]:
-    """Tokenize ``xml_text`` into a stream of events.
+    """Tokenize ``xml_text`` into a stream of events (pull mode).
 
-    This is the pull-mode entry point: a thin wrapper that feeds the text
-    through a :class:`PushTokenizer` in large chunks and yields the resulting
-    events.  Character data is *coalesced* exactly like the :mod:`xml.sax`
-    front end does: adjacent runs separated only by dropped markup (comments,
-    processing instructions, the XML declaration) and CDATA sections merge
-    into a single :class:`Text` event, flushed when the next element tag
-    arrives.  This keeps document-order node ids identical between the two
-    front ends.
-
-    Parameters
-    ----------
-    xml_text:
-        The XML document as a string.
-    keep_whitespace:
-        When ``False`` (the default, matching the paper's model) character
-        data consisting only of whitespace is dropped.
-
-    Raises
-    ------
-    XMLSyntaxError
-        If the text is not well formed (mismatched or unterminated tags).
-    """
+    Character data coalesces as in the :mod:`xml.sax` front end — runs
+    separated only by dropped markup or CDATA form one :class:`Text` — so
+    node ids agree between the two.  ``keep_whitespace=False`` (the paper's
+    model) drops whitespace-only text.  Raises :class:`XMLSyntaxError`."""
     tokenizer = PushTokenizer(keep_whitespace=keep_whitespace)
     for start in range(0, len(xml_text), _PULL_CHUNK):
         yield from tokenizer.feed(xml_text[start:start + _PULL_CHUNK])
@@ -539,7 +513,7 @@ def iter_events(xml_text: str, keep_whitespace: bool = False) -> Iterator[Event]
 
 
 class _SAXEventCollector(xml.sax.handler.ContentHandler):
-    """Collects ``xml.sax`` callbacks into our event dataclasses."""
+    """Collects ``xml.sax`` callbacks into our events."""
 
     def __init__(self, keep_whitespace: bool):
         super().__init__()
@@ -550,25 +524,20 @@ class _SAXEventCollector(xml.sax.handler.ContentHandler):
         self._pending_text: List[str] = []
 
     def _flush_text(self) -> None:
-        if not self._pending_text:
-            return
         value = "".join(self._pending_text)
         self._pending_text = []
-        if not self._open_ids:
-            return
         if not self._keep_whitespace:
             value = value.strip()
-            if not value:
-                return
-        self.events.append(Text(value=value, node_id=self._next_id))
-        self._next_id += 1
+        if value and self._open_ids:
+            self.events.append(Text(value, self._next_id))
+            self._next_id += 1
 
     def startDocument(self):  # noqa: N802 - SAX API naming
-        self.events.append(StartDocument(node_id=0))
+        self.events.append(StartDocument(0))
 
     def endDocument(self):  # noqa: N802
         self._flush_text()
-        self.events.append(EndDocument(node_id=0))
+        self.events.append(EndDocument(0))
 
     def startElement(self, name, attrs):  # noqa: N802
         self._flush_text()
@@ -577,28 +546,22 @@ class _SAXEventCollector(xml.sax.handler.ContentHandler):
         # element, exactly as the hand tokenizer numbers them.
         attributes = tuple((attr_name, attrs.getValue(attr_name))
                            for attr_name in attrs.getNames())
-        self.events.append(StartElement(tag=name, node_id=self._next_id,
-                                        attributes=attributes))
+        self.events.append(StartElement(name, self._next_id, attributes))
         self._open_ids.append((name, self._next_id))
         self._next_id += 1 + len(attributes)
 
     def endElement(self, name):  # noqa: N802
         self._flush_text()
         tag, node_id = self._open_ids.pop()
-        self.events.append(EndElement(tag=tag, node_id=node_id))
+        self.events.append(EndElement(tag, node_id))
 
     def characters(self, content):  # noqa: N802
         self._pending_text.append(content)
 
 
 def iter_events_sax(xml_text: str, keep_whitespace: bool = False) -> Iterator[Event]:
-    """Produce the same event stream as :func:`iter_events` via ``xml.sax``.
-
-    Note: unlike :func:`iter_events`, the standard SAX parser enforces full
-    XML well-formedness (single document element, proper prolog), so this
-    adapter is used for real-world documents while the hand-written tokenizer
-    also accepts the fragments used in synthetic tests.
-    """
+    """Produce the same event stream as :func:`iter_events` via ``xml.sax``
+    (expat), which also takes what the tokenizer's leniencies exclude."""
     collector = _SAXEventCollector(keep_whitespace)
     try:
         xml.sax.parseString(xml_text.encode("utf-8"), collector)
@@ -614,11 +577,8 @@ def parse_xml(xml_text: str, keep_whitespace: bool = False,
     ``use_sax`` selects the :mod:`xml.sax` front end instead of the built-in
     tokenizer; both produce identical documents for the supported dialect.
     """
-    if use_sax:
-        events = iter_events_sax(xml_text, keep_whitespace=keep_whitespace)
-    else:
-        events = iter_events(xml_text, keep_whitespace=keep_whitespace)
-    return build_document(events)
+    front_end = iter_events_sax if use_sax else iter_events
+    return build_document(front_end(xml_text, keep_whitespace=keep_whitespace))
 
 
 def parse_xml_file(path: str, keep_whitespace: bool = False) -> Document:

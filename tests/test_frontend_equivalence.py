@@ -39,6 +39,8 @@ EDGE_CASE_DOCUMENTS = [
     # Whitespace runs (dropped by default, kept on request).
     "<a>\n  <b/>\n  <c>  </c>\n</a>",
     "<a>  leading and trailing  </a>",
+    # Line ends: \r\n and a lone \r read as \n, in text and CDATA alike.
+    "<a>x\r\ny\rz<![CDATA[\r\n]]>&#13;</a>",
     # Attributes: both quote styles, entities and character references in
     # values, '>' inside a quoted value, whitespace normalization, and the
     # node-id accounting for attribute nodes (they claim the ids right
@@ -66,8 +68,8 @@ EDGE_CASE_DOCUMENTS = [
 def test_event_streams_identical(xml, keep_whitespace):
     ours = list(iter_events(xml, keep_whitespace=keep_whitespace))
     sax = list(iter_events_sax(xml, keep_whitespace=keep_whitespace))
-    # Events are frozen dataclasses: equality covers kind, tag/value AND
-    # node id, so any coalescing or numbering divergence fails loudly.
+    # Event equality covers kind, tag/value AND node id, so any coalescing
+    # or numbering divergence fails loudly.
     assert ours == sax
 
 
