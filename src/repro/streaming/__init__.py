@@ -5,11 +5,12 @@ axes can be answered in a *single pass* over a SAX event stream, buffering
 only pending candidate matches instead of the whole document.  This package
 provides:
 
-* :mod:`repro.streaming.matcher` — the single-pass matching engine,
-* :mod:`repro.streaming.engine` — the multi-subscription engine: a
-  :class:`SubscriptionIndex` compiling thousands of subscriptions into one
-  shared automaton, and the :class:`MultiMatcher` advancing all of them in
-  one document pass (the paper's SDI use case at scale),
+* :mod:`repro.streaming.matcher` — the single-pass matching engine: the
+  :class:`MultiMatcher` session advancing every subscription of an index in
+  one document pass, and the per-document result records,
+* :mod:`repro.streaming.engine` — the :class:`SubscriptionIndex`
+  compiling thousands of subscriptions into one shared automaton (the
+  paper's SDI use case at scale; one query is an index of one),
 * :mod:`repro.streaming.automaton` — the lazy-DFA structural dispatch
   backend (``backend="dfa"``): subscription spines compiled into one shared
   automaton, DFA states materialized lazily at match time,
@@ -73,15 +74,16 @@ Session lifecycle
 A :class:`MultiMatcher` is one *session*.  Freshly constructed it carries
 compiled per-subscription state (result sinks, absolute sub-path
 registries) and no stream state.  ``feed`` accumulates stream state;
-``EndDocument`` (or an early :meth:`~matcher.MatcherCore.halt` in
-verdict-only mode, once every subscription's verdict is decided —
+``EndDocument`` (or an early :meth:`MultiMatcher.halt` in verdict-only
+mode, once every subscription's verdict is decided —
 ``stats.events_skipped`` counts what was never consumed) finishes the
 session: results become readable and every expectation registry is torn
-down.  :meth:`~matcher.MatcherCore.reset` then rewinds the session to serve
-the next document *without* re-running the constructor's per-subscription
+down.  :meth:`MultiMatcher.reset` then rewinds the session to serve the
+next document *without* re-running the constructor's per-subscription
 setup — between documents all engine-internal registries are empty
-(:meth:`~matcher.MatcherCore.registry_sizes`), so nothing leaks from one
-document into the next.
+(:meth:`MultiMatcher.registry_sizes`), so nothing leaks from one document
+into the next.  :func:`stream_evaluate` and :func:`stream_matches` are one
+such session over a one-subscription index, used for one document.
 
 Per-document cost follows what the document *matched*, not the number of
 subscriptions: ``reset`` and ``results`` visit only the result sinks it
@@ -124,9 +126,9 @@ Backends: the lazy DFA and the reference mode
 There is one pipeline: structural dispatch either *accepts* a node for a
 subscription or fires a *gate*, and a gate hands the rest of the path to
 the expectation machinery of :mod:`repro.streaming.matcher`.  Every
-matching entry point — :class:`StreamingMatcher`,
-:meth:`SubscriptionIndex.matcher`/``evaluate``, :class:`DocumentBroker`,
-:func:`stream_evaluate` — takes ``backend="expectations" | "dfa"``
+matching entry point — :meth:`SubscriptionIndex.matcher`/``evaluate``,
+:class:`DocumentBroker`, :func:`stream_evaluate` — takes
+``backend="expectations" | "dfa"``
 (``None`` defers to the ``REPRO_STREAMING_BACKEND`` environment variable,
 then to the default ``"dfa"``).  Both backends are exact: the three-way
 differential suite pins DFA == expectations == DOM on every generated
@@ -155,7 +157,7 @@ the ≥3x events/sec of ``benchmarks/bench_automaton_sdi.py`` comes from.
 
 ``"expectations"`` is the *semantics reference*: no automaton, every path
 spawned whole from the document root — N independent single-query matchers
-in one core, per-event cost scaling with the expectations the event could
+in one session, per-event cost scaling with the expectations the event could
 match.  It handles every forward axis uniformly and needs no warmup; the
 differential suites pin the automaton against it, and
 ``REPRO_STREAMING_BACKEND=expectations`` is the switch for bisecting a
@@ -228,13 +230,13 @@ from repro.streaming.delivery import (
     resolve_delivery,
 )
 from repro.streaming.evaluator import StreamResult, stream_evaluate, stream_matches
-from repro.streaming.engine import (
+from repro.streaming.matcher import (
     MultiMatcher,
     MultiMatchResult,
     Subscription,
-    SubscriptionIndex,
     SubscriptionResult,
 )
+from repro.streaming.engine import SubscriptionIndex
 from repro.streaming.broker import BrokerStats, DocumentBroker, DocumentRecord
 from repro.streaming.dom_baseline import dom_evaluate
 from repro.streaming.buffered import buffered_evaluate

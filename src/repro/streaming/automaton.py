@@ -45,7 +45,7 @@ event stream:
   axis the rewriter left in a qualifier-carrying spine).  Only when a node
   structurally reaches the gate does the engine build the qualifier
   conditions and spawn expectations for the remaining steps — the
-  :class:`~repro.streaming.matcher.MatcherCore` machinery runs exclusively
+  :class:`~repro.streaming.matcher.MultiMatcher` machinery runs exclusively
   on structurally-viable elements;
 * members the automaton cannot carry at all (adversarial named
   ``descendant-or-self`` chains past the alternative cap) are gated *at
@@ -585,11 +585,11 @@ class SubscriptionAutomaton:
 class AutomatonRun:
     """Per-matcher driver of a shared :class:`SubscriptionAutomaton`.
 
-    Owned by a :class:`~repro.streaming.matcher.MatcherCore` with
-    ``backend="dfa"``; the core calls in from its event loop.  The only
+    Owned by a :class:`~repro.streaming.matcher.MultiMatcher` with
+    ``backend="dfa"``; the session calls in from its event loop.  The only
     per-document state is the stack of DFA states — the states themselves —
     mirroring the open-element stack, and the set of armed ``following``
-    windows.  ``rewind()`` (wired into the core's stream-state teardown)
+    windows.  ``rewind()`` (wired into the session's stream-state teardown)
     clears them, while the automaton's warmed states deliberately survive
     into the next document.
 
@@ -680,7 +680,7 @@ class AutomatonRun:
         ``core.add_candidate`` — pure structural accepts directly, gated
         members once their remainder resolves — which is also where
         substream capture windows open
-        (:meth:`~repro.streaming.matcher.MatcherCore._capture_candidate`).
+        (:meth:`~repro.streaming.matcher.MultiMatcher._capture_candidate`).
         DFA-accepted structural members therefore start their captures at
         the accepting element's own StartElement, exactly like final-step
         matches on the expectation backend: ``on_node`` runs inside the

@@ -9,9 +9,9 @@ chunks — and must route each one to the standing subscriptions it matches.
 * the subscriptions are compiled **once** into a
   :class:`~repro.streaming.engine.SubscriptionIndex` (parse, reverse-axis
   rewriting, merge into the shared automaton);
-* one resumable :class:`~repro.streaming.engine.MultiMatcher` session is
+* one resumable :class:`~repro.streaming.matcher.MultiMatcher` session is
   created lazily and *reused* across documents via
-  :meth:`~repro.streaming.matcher.MatcherCore.reset`, so the per-document
+  :meth:`~repro.streaming.matcher.MultiMatcher.reset`, so the per-document
   cost is matching alone — not the per-subscription setup a fresh matcher
   pays (``benchmarks/router`` measures it: workload ``feed_small_verdict``);
 * each submitted document is tokenized incrementally with
@@ -22,7 +22,7 @@ chunks — and must route each one to the standing subscriptions it matches.
   every subscription's verdict is decided.
 
 :meth:`DocumentBroker.submit` returns the per-document
-:class:`~repro.streaming.engine.MultiMatchResult`; the broker additionally
+:class:`~repro.streaming.matcher.MultiMatchResult`; the broker additionally
 keeps aggregate counters (:class:`BrokerStats`) and a bounded per-document
 history for monitoring a long-running feed.
 """
@@ -44,12 +44,8 @@ from typing import (
 
 from repro.streaming.automaton import resolve_backend
 from repro.streaming.delivery import Delivery, resolve_delivery
-from repro.streaming.engine import (
-    MultiMatcher,
-    MultiMatchResult,
-    Subscription,
-    SubscriptionIndex,
-)
+from repro.streaming.engine import SubscriptionIndex
+from repro.streaming.matcher import MultiMatcher, MultiMatchResult, Subscription
 from repro.xmlmodel.events import Event
 from repro.xmlmodel.parser import Chunk, PushTokenizer
 from repro.xpath.ast import PathExpr
@@ -139,7 +135,7 @@ class DocumentBroker:
     *between* submits without recompiling the index (see the live-churn
     section of :class:`SubscriptionIndex`).  The broker's
     session follows along at the next checkout: additions are picked up by
-    an incremental :meth:`~repro.streaming.engine.MultiMatcher.sync` (the
+    an incremental :meth:`~repro.streaming.matcher.MultiMatcher.sync` (the
     index ``version`` counter), removals take effect immediately through
     the shared retired set, and only a :meth:`SubscriptionIndex.vacuum`
     (the ``generation`` counter) forces a fresh session.  Churn on a shared
@@ -215,7 +211,7 @@ class DocumentBroker:
     def session(self) -> Optional[MultiMatcher]:
         """The resumable matcher serving this broker (``None`` before the
         first submit).  Exposed for diagnostics — see
-        :meth:`~repro.streaming.matcher.MatcherCore.registry_sizes`."""
+        :meth:`~repro.streaming.matcher.MultiMatcher.registry_sizes`."""
         return self._matcher
 
     def _checkout(self) -> MultiMatcher:
@@ -303,7 +299,7 @@ class DocumentBroker:
 
         The stream state is poisoned but the expensive per-subscription
         setup (and, for the DFA backend, the warmed automaton) is not:
-        :meth:`~repro.streaming.matcher.MatcherCore.reset` clears exactly
+        :meth:`~repro.streaming.matcher.MultiMatcher.reset` clears exactly
         the per-document state, so the *next* submit reuses the session
         instead of paying for a fresh matcher.  If even the reset fails the
         session is discarded and the next submit builds a clean one.

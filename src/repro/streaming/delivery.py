@@ -1,6 +1,6 @@
 """The emission layer: what a decided match *delivers* to its subscriber.
 
-The answer shape of :class:`~repro.streaming.engine.MultiMatcher` is
+The answer shape of :class:`~repro.streaming.matcher.MultiMatcher` is
 pluggable: every entry point that builds one takes ``delivery=``, a
 :class:`Delivery` naming one of three modes:
 
@@ -27,7 +27,7 @@ subscribers matching the same element pay for one rendering.
 
 Payload routing is the broker's choice: with an ``on_payload`` callback the
 bytes stream out as each window closes; without one they are buffered and
-returned on :class:`~repro.streaming.engine.SubscriptionResult` as
+returned on :class:`~repro.streaming.matcher.SubscriptionResult` as
 ``payload``.
 
 **Churn safety.**  The tee is *matcher* state, not automaton state: a DFA

@@ -2,63 +2,50 @@
 
 The paper's headline use case is SDI: match streaming XML documents against
 standing user subscriptions, rewriting reverse axes away so that each
-document needs only a single pass.  Running one
-:class:`~repro.streaming.matcher.StreamingMatcher` per subscription costs N
-full passes of per-event work for N subscribers.  This module shares that
-work in the tradition of shared-index filtering engines (XFilter/YFilter):
+document needs only a single pass.  This module shares that pass among all
+subscribers, in the tradition of shared-index filtering engines
+(XFilter/YFilter):
 
 * :class:`SubscriptionIndex` compiles every subscription once — parsing and
   reverse-axis removal are memoized through :mod:`repro.xpath.cache` — and
   merges their structural spines into one shared lazy automaton
   (:mod:`repro.streaming.automaton`), maintained incrementally under live
   churn.
-* :class:`MultiMatcher` advances all subscriptions over one event stream in
-  a single pass.  The automaton dispatches structure; a union member leaves
-  it either as an *accept* (a decided match) or through a qualifier *gate*,
-  which hands the member's remaining steps to the expectation machinery of
-  :class:`~repro.streaming.matcher.MatcherCore` — members the automaton
-  cannot carry are gated at the document root.  Absolute sub-paths
-  mentioned in qualifiers and joins are matched once, shared across *all*
-  subscriptions.  In verdict-only mode the result sinks are existence
-  sinks: the moment a subscription is satisfied, the expectations still
-  feeding its sink are unlinked and its gates stop firing.
+* :meth:`SubscriptionIndex.matcher` hands out a
+  :class:`~repro.streaming.matcher.MultiMatcher` session that advances all
+  subscriptions over one event stream in a single pass.  The automaton
+  dispatches structure; a union member leaves it either as an *accept* (a
+  decided match) or through a qualifier *gate*, which hands the member's
+  remaining steps to the session's expectation machinery — members the
+  automaton cannot carry are gated at the document root.  Absolute
+  sub-paths mentioned in qualifiers and joins are matched once, shared
+  across *all* subscriptions.  In verdict-only mode the result sinks are
+  existence sinks: the moment a subscription is satisfied, the expectations
+  still feeding its sink are unlinked and its gates stop firing.
 * ``backend="expectations"`` is the differential *reference*: no automaton,
   every subscription's path spawned whole from the document root — N
-  independent single-query matchers in one core, sharing nothing but the
+  independent single-query matchers in one session, sharing nothing but the
   event loop.
 
-The per-subscription semantics are exactly those of
-:func:`repro.streaming.stream_evaluate` — the property tests assert result
-equality query by query.
+One query is the case N = 1: :func:`repro.streaming.stream_evaluate` runs a
+session over a one-subscription index.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
-from functools import cached_property
+from dataclasses import replace
 from typing import Dict, Hashable, Iterable, List, Mapping, Optional, Tuple, Union as TypingUnion
 
 from repro.errors import StreamingError
 from repro.streaming.automaton import (
-    AutomatonRun,
     DEFAULT_TRANSITION_CAP,
     SubscriptionAutomaton,
     compile_subscription_automaton,
     resolve_backend,
 )
-from repro.streaming.delivery import (
-    Delivery,
-    SubtreeTee,
-    VerdictDelivery,
-    resolve_delivery,
-)
-from repro.streaming.matcher import (
-    MatcherCore,
-    _DROPPED_SINK,
-    _ResultSink,
-    _Sink,
-)
-from repro.streaming.stats import ChurnStats, StreamStats
+from repro.streaming.delivery import Delivery, VerdictDelivery
+from repro.streaming.matcher import MultiMatcher, MultiMatchResult, Subscription
+from repro.streaming.stats import ChurnStats
 from repro.xmlmodel.events import Event
 from repro.xpath import analysis
 from repro.xpath.ast import (
@@ -69,314 +56,6 @@ from repro.xpath.ast import (
 )
 from repro.xpath.cache import QueryCache, default_cache
 from repro.xpath.serializer import to_string
-
-
-# ---------------------------------------------------------------------------
-# Subscriptions and results
-# ---------------------------------------------------------------------------
-
-@dataclass(frozen=True)
-class Subscription:
-    """One compiled subscription of the index."""
-
-    key: Hashable
-    #: The subscription as given (query text, or serialized AST).
-    source: str
-    #: The compiled, reverse-axis-free path the engine matches.
-    path: PathExpr
-    #: Position in the index (the engine's internal identifier).
-    ordinal: int
-
-
-@dataclass
-class SubscriptionResult:
-    """Per-subscription verdict of one document pass."""
-
-    key: Hashable
-    query: str
-    matched: bool
-    node_ids: List[int] = field(default_factory=list)
-    #: Substream delivery, buffered routing: the serialized XML of every
-    #: matched subtree, concatenated in document order.  ``None`` outside
-    #: substream mode and when payloads streamed out through an
-    #: ``on_payload`` callback instead.
-    payload: Optional[bytes] = None
-
-
-@dataclass(repr=False)
-class MultiMatchResult:
-    """Outcome of matching one document against a whole subscription index.
-
-    A sparse *value* — the matched rows, the session's subscription tuple, a
-    frozen snapshot of the retired ordinals — that no later document or churn
-    changes.  ``matching_keys``, ``matched_results``, ``len()`` cost O(matches);
-    ``results`` (so iteration, ``by_key``, indexing) synthesizes the unmatched
-    rows on first access: O(N) once, then cached."""
-
-    #: ordinal -> row of each subscription that matched, in ordinal order.
-    _matched: Dict[int, SubscriptionResult]
-    _subscriptions: Tuple[Subscription, ...]
-    _retired: frozenset
-    #: ``payload`` of an unmatched row: ``b""`` where payloads are buffered.
-    _empty_payload: Optional[bytes]
-    stats: StreamStats
-
-    @cached_property
-    def results(self) -> List[SubscriptionResult]:
-        """One row per live subscription, in ordinal order."""
-        matched, payload = self._matched, self._empty_payload
-        return [matched.get(subscription.ordinal)
-                or SubscriptionResult(subscription.key, subscription.source,
-                                      False, [], payload)
-                for subscription in self._subscriptions
-                if subscription.ordinal not in self._retired]
-
-    @property
-    def matched_results(self) -> List[SubscriptionResult]:
-        """The rows that matched, ordinal order."""
-        return list(self._matched.values())
-
-    def __iter__(self):
-        return iter(self.results)
-
-    def __len__(self) -> int:
-        carried = len(self._subscriptions)
-        return carried - sum(ordinal < carried for ordinal in self._retired)
-
-    def __getitem__(self, key: Hashable) -> SubscriptionResult:
-        try:
-            return self.by_key[key]
-        except KeyError:
-            raise KeyError(f"no subscription with key {key!r}") from None
-
-    @cached_property
-    def by_key(self) -> Dict[Hashable, SubscriptionResult]:
-        return {result.key: result for result in self.results}
-
-    @property
-    def matching_keys(self) -> List[Hashable]:
-        """Keys of the subscriptions the document matched (routing table row)."""
-        return [result.key for result in self._matched.values()]
-
-
-# ---------------------------------------------------------------------------
-# The engine
-# ---------------------------------------------------------------------------
-
-class MultiMatcher(MatcherCore):
-    """Single-pass matcher for a whole subscription index.
-
-    Built by :meth:`SubscriptionIndex.matcher`; one instance matches one
-    document at a time (the expectations are stream state).  With a
-    :class:`~repro.streaming.delivery.VerdictDelivery` the per-subscription
-    result sinks resolve eagerly: as soon as a subscription is known to
-    match, its verdict is fixed, its buffered entries are dropped, the
-    expectations feeding its sink are unlinked and its gates stop firing —
-    the SDI fast path.
-    """
-
-    def __init__(self, index: "SubscriptionIndex",
-                 automaton: Optional[SubscriptionAutomaton] = None,
-                 delivery: Optional[Delivery] = None):
-        super().__init__()
-        #: Live churn (see :meth:`sync`): the index this session serves, the
-        #: retired-ordinal set shared with it *by reference* (removals take
-        #: effect immediately, mid-document included), and the version /
-        #: generation snapshot the session was last synced to.
-        self._index = index
-        self._retired: set = index._retired
-        self._synced_version: Optional[int] = None
-        self._generation = index.generation
-        # The emission layer (see repro.streaming.delivery): what a decided
-        # match delivers.
-        delivery = resolve_delivery(delivery)
-        self._delivery = delivery
-        self._subscriptions: Tuple[Subscription, ...] = ()
-        self._matches_only = delivery.matches_only
-        self._automaton = automaton
-        if delivery.captures:
-            # Substream mode: engage the shared single-pass tee.  The core's
-            # add_candidate records a capture claim for every final match
-            # (DFA-accepted structural members included — they too converge
-            # on add_candidate), and _emit_capture below routes the bytes.
-            self._tee = SubtreeTee()
-        #: Buffered payload chunks: ordinal -> {node_id: bytes}.
-        self._payloads: Dict[int, Dict[int, bytes]] = {}
-        #: Emission dedup — several retained entries may claim the same
-        #: (subscription, node); the payload is emitted once.
-        self._emitted_captures: set = set()
-        if automaton is not None:
-            self._automaton_run = AutomatonRun(automaton,
-                                               self._structural_sink)
-        #: The result sinks this document delivered into (each lists itself):
-        #: all :meth:`results` reads and :meth:`reset` clears, of ``_sinks``.
-        self._touched: List[_ResultSink] = []
-        self._sinks: List[_ResultSink] = []
-        self._satisfied: set = set()
-        self.sync()     # carries every subscription the index has now
-
-    @property
-    def backend(self) -> str:
-        """Which structural dispatch engine this matcher runs on."""
-        return "dfa" if self._automaton is not None else "expectations"
-
-    def _structural_sink(self, ordinal: int) -> _Sink:
-        # Live churn: the shared automaton may fire for ordinals this
-        # session retired (removals take effect immediately) or does not
-        # carry yet (adds take effect at the next document, after sync).
-        if ordinal in self._retired or ordinal >= len(self._sinks):
-            return _DROPPED_SINK
-        return self._sinks[ordinal]
-
-    def _seed_retired_verdicts(self) -> None:
-        """Count retired ordinals as settled so early termination still
-        fires: their sinks can never satisfy (every delivery is dropped)."""
-        self._satisfied.update(
-            ordinal for ordinal in self._retired
-            if ordinal < len(self._subscriptions))
-
-    def dfa_state_count(self) -> int:
-        """DFA states materialized in the shared automaton (0 for the
-        expectation backend).  Stable across :meth:`reset` — the warmed
-        transition table is the point of session reuse."""
-        return (self._automaton.state_count()
-                if self._automaton is not None else 0)
-
-    # -- session reuse -----------------------------------------------------
-    def reset(self) -> None:
-        """Make the matcher ready for the next document of a session.
-
-        Construction is the expensive part at scale — it walks every
-        subscription's AST to register absolute sub-paths.  ``reset`` keeps
-        that and only clears the per-document state: the result sinks the
-        document *touched* (the others are empty already — O(matches), not
-        O(N)), satisfied verdicts and the core's registries.  This is what
-        lets one :class:`~repro.streaming.broker.DocumentBroker` session
-        amortize the compiled index over a continuous feed of documents.
-        """
-        if self._index.generation != self._generation:
-            raise StreamingError(
-                "the subscription index was vacuumed (ordinals remapped); "
-                "build a fresh matcher")
-        super().reset()
-        for sink in self._touched:
-            sink.entries.clear()
-            sink.satisfied = False
-        self._touched.clear()
-        self._satisfied.clear()
-        self._payloads = {}
-        self._emitted_captures = set()
-        if self._matches_only:
-            self._seed_retired_verdicts()
-
-    def sync(self) -> None:
-        """Bring a live session up to its index's current subscription set.
-
-        The churn counterpart of :meth:`reset`, called *between* documents
-        (the broker's checkout does it whenever the index version moved):
-        appends sinks and per-subscription registries for every ordinal
-        added since the last sync.  Removals need no per-matcher work — the
-        retired set is shared by reference and consulted at delivery time.
-        A vacuumed index (generation bump) cannot be synced to: ordinals
-        were remapped, build a fresh matcher.
-        """
-        index = self._index
-        if index.generation != self._generation:
-            raise StreamingError(
-                "the subscription index was vacuumed (ordinals remapped); "
-                "build a fresh matcher")
-        if index.version == self._synced_version:
-            return
-        subscriptions = index._subscriptions
-        sinks = self._sinks
-        for ordinal in range(len(sinks), len(subscriptions)):
-            sinks.append(_ResultSink(ordinal, self._touched,
-                                     self._matches_only))
-            self._register_absolute_subpaths(subscriptions[ordinal].path)
-        self._subscriptions = tuple(subscriptions)
-        if self._matches_only:
-            self._seed_retired_verdicts()
-        self._synced_version = index.version
-
-    def _should_halt(self) -> bool:
-        """Early termination: in verdict-only mode, once every subscription
-        is satisfied no later event can change a verdict."""
-        return (self._matches_only
-                and len(self._satisfied) == len(self._subscriptions))
-
-    # -- spawning ----------------------------------------------------------
-    def _spawn_roots(self, root_id: int) -> None:
-        retired = self._retired
-        for subscription, sink in zip(self._subscriptions, self._sinks):
-            if subscription.ordinal not in retired:
-                self.spawn_root_expr(subscription.path, sink, root_id)
-
-    # -- substream capture -------------------------------------------------
-    def _emit_capture(self, capture) -> None:
-        """Route one decided capture's payload bytes to its subscriber."""
-        if capture.ordinal in self._retired:
-            # Unsubscribed while the capture window was open (or before the
-            # deferred-capture drain): the payload is no longer owed.
-            return
-        dedup = (capture.ordinal, capture.node_id)
-        if dedup in self._emitted_captures:
-            return
-        self._emitted_captures.add(dedup)
-        data = capture.render()
-        self.stats.subtrees_emitted += 1
-        self.stats.bytes_emitted += len(data)
-        on_payload = self._delivery.on_payload
-        if on_payload is not None:
-            on_payload(self._subscriptions[capture.ordinal].key,
-                       capture.node_id, data)
-        else:
-            self._payloads.setdefault(capture.ordinal, {})[
-                capture.node_id] = data
-
-    def _sink_satisfied(self, sink) -> None:
-        super()._sink_satisfied(sink)
-        if (self._matches_only and sink.ordinal is not None
-                and sink.ordinal not in self._retired):
-            self._satisfied.add(sink.ordinal)
-
-    # -- results -----------------------------------------------------------
-    def results(self) -> MultiMatchResult:
-        """Per-subscription verdicts (requires the stream to be finished), read
-        off the touched sinks only, one row per match: O(matches), not O(N)."""
-        if not self._finished:
-            raise StreamingError("results() called before the end of the stream")
-        captures = self._delivery.captures
-        if captures:
-            # Captures whose conditions were undecided at window close are
-            # settled now, with the same entry.holds() the id readout uses.
-            self._drain_deferred_captures()
-        empty_payload = b"" if captures and self._delivery.on_payload is None else None
-        # Unsubscribed (possibly mid-document): no longer reported.
-        retired = frozenset(self._retired)
-        matched: Dict[int, SubscriptionResult] = {}
-        total = 0
-        for sink in sorted(self._touched, key=lambda sink: sink.ordinal):
-            if sink.ordinal in retired:
-                continue
-            node_ids = sorted({entry.node_id for entry in sink.entries
-                               if entry.holds()})
-            if not (node_ids or sink.satisfied):
-                continue
-            if self._matches_only:
-                # Verdict-only mode: ids of candidates that happened to be
-                # buffered before the verdict settled are not a full answer,
-                # so none are reported.
-                node_ids = []
-            chunks = self._payloads.get(sink.ordinal)
-            subscription = self._subscriptions[sink.ordinal]
-            matched[sink.ordinal] = SubscriptionResult(
-                subscription.key, subscription.source, True, node_ids,
-                b"".join(chunks[node_id] for node_id in sorted(chunks))
-                if chunks else empty_payload)
-            total += len(node_ids)
-        self.stats.results = total
-        return MultiMatchResult(matched, self._subscriptions, retired,
-                                empty_payload, self.stats)
 
 
 class SubscriptionIndex:

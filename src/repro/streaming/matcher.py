@@ -68,38 +68,43 @@ How it works
 Reverse axes are rejected: remove them first with
 :func:`repro.rewrite.remove_reverse_axes`.
 
-One pipeline serves both one query (:class:`StreamingMatcher`) and
-thousands of subscriptions at once (:mod:`repro.streaming.engine`):
+One class, :class:`MultiMatcher`, runs every document pass: a session over
+the subscriptions of a :class:`~repro.streaming.engine.SubscriptionIndex`,
+thousands of them or — behind :func:`repro.streaming.stream_evaluate` —
+exactly one.
 
-* :class:`MatcherCore` owns the event loop, the element stack, the
-  expectation lifecycle, conditions, value collection and the shared
-  absolute-sub-path sinks.  Each expectation carries the remaining steps
-  of its path and the sink they feed; whatever matched a step — a
-  dispatched node, an attribute, a ``self`` anchor, a node that reached a
-  gate — continues through :meth:`MatcherCore.step_matched`.
-* Paths enter the core through one door.  With ``backend="dfa"`` the lazy
+* It owns the event loop, the element stack, the expectation lifecycle,
+  conditions, value collection and the shared absolute-sub-path sinks.
+  Each expectation carries the remaining steps of its path and the sink
+  they feed; whatever matched a step — a dispatched node, an attribute, a
+  ``self`` anchor, a node that reached a gate — continues through
+  :meth:`MultiMatcher.step_matched`.
+* Paths enter through one door.  With ``backend="dfa"`` the lazy
   automaton (:mod:`repro.streaming.automaton`) dispatches structure and
   either *accepts* (a decided match, straight into ``add_candidate``) or
   fires a *gate*, which spawns the member's remaining steps as expectations
   — members the automaton cannot carry are gated at the document root.
   With ``backend="expectations"`` — the differential semantics reference —
   there is no automaton and every path is spawned whole from the root
-  (:meth:`MatcherCore.spawn_root_expr`): N independent single-query
-  matchers in one core.
+  (:meth:`MultiMatcher.spawn_root_expr`): N independent single-query
+  matchers in one session.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Dict, Iterable, List, Optional, Set, Tuple
+from dataclasses import dataclass, field
+from functools import cached_property
+from typing import (TYPE_CHECKING, Dict, Hashable, Iterable, List, Optional,
+                    Tuple)
 
-from repro.errors import ReverseAxisStreamingError, StreamingError
-from repro.streaming.automaton import (
-    AutomatonRun,
-    compile_subscription_automaton,
-    resolve_backend,
+from repro.errors import StreamingError
+from repro.streaming.automaton import AutomatonRun, SubscriptionAutomaton
+from repro.streaming.delivery import (
+    Delivery,
+    SubtreeTee,
+    _LeafCapture,
+    resolve_delivery,
 )
-from repro.streaming.delivery import SubtreeTee, _LeafCapture
 from repro.streaming.stats import StreamStats
 from repro.xmlmodel.stream_serialize import serialize_events
 from repro.xmlmodel.events import (
@@ -127,6 +132,9 @@ from repro.xpath.ast import (
 )
 from repro.xpath.axes import Axis
 from repro.xpath.serializer import to_string
+
+if TYPE_CHECKING:
+    from repro.streaming.engine import SubscriptionIndex
 
 
 # ---------------------------------------------------------------------------
@@ -206,7 +214,7 @@ class _ResultSink(_Sink):
 #: Shared terminal sink for deliveries that must be dropped on the floor:
 #: retired (unsubscribed) ordinals, and ordinals a live session does not
 #: carry yet because the subscription was added mid-document (live churn —
-#: see :meth:`repro.streaming.engine.MultiMatcher.sync`).  Permanently
+#: see :meth:`MultiMatcher.sync`).  Permanently
 #: satisfied and exists-only, so ``add_candidate`` rejects every entry in
 #: O(1), qualifier gates skip it, no capture claim can attach (no ordinal).
 _DROPPED_SINK = _Sink(exists_only=True)
@@ -362,7 +370,7 @@ _WAITING, _ACTIVE, _EXPIRED = "waiting", "active", "expired"
 class _Expectation:
     """Waiting for future nodes related to ``anchor`` by ``step.axis``.
 
-    A matching node continues through :meth:`MatcherCore.step_matched` with
+    A matching node continues through :meth:`MultiMatcher.step_matched` with
     the rest of the path (``remaining``) into ``sink``.
 
     ``serial`` is the engine-wide spawn ordinal, used as the key under which
@@ -524,6 +532,94 @@ class _ValueCollector:
 
 
 # ---------------------------------------------------------------------------
+# Subscriptions and results
+# ---------------------------------------------------------------------------
+
+@dataclass(frozen=True)
+class Subscription:
+    """One compiled subscription of the index."""
+
+    key: Hashable
+    #: The subscription as given (query text, or serialized AST).
+    source: str
+    #: The compiled, reverse-axis-free path the engine matches.
+    path: PathExpr
+    #: Position in the index (the engine's internal identifier).
+    ordinal: int
+
+
+@dataclass
+class SubscriptionResult:
+    """Per-subscription verdict of one document pass."""
+
+    key: Hashable
+    query: str
+    matched: bool
+    node_ids: List[int] = field(default_factory=list)
+    #: Substream delivery, buffered routing: the serialized XML of every
+    #: matched subtree, concatenated in document order.  ``None`` outside
+    #: substream mode and when payloads streamed out through an
+    #: ``on_payload`` callback instead.
+    payload: Optional[bytes] = None
+
+
+@dataclass(repr=False)
+class MultiMatchResult:
+    """Outcome of matching one document against a whole subscription index.
+
+    A sparse *value* — the matched rows, the session's subscription tuple, a
+    frozen snapshot of the retired ordinals — that no later document or churn
+    changes.  ``matching_keys``, ``matched_results``, ``len()`` cost O(matches);
+    ``results`` (so iteration, ``by_key``, indexing) synthesizes the unmatched
+    rows on first access: O(N) once, then cached."""
+
+    #: ordinal -> row of each subscription that matched, in ordinal order.
+    _matched: Dict[int, SubscriptionResult]
+    _subscriptions: Tuple[Subscription, ...]
+    _retired: frozenset
+    #: ``payload`` of an unmatched row: ``b""`` where payloads are buffered.
+    _empty_payload: Optional[bytes]
+    stats: StreamStats
+
+    @cached_property
+    def results(self) -> List[SubscriptionResult]:
+        """One row per live subscription, in ordinal order."""
+        matched, payload = self._matched, self._empty_payload
+        return [matched.get(subscription.ordinal)
+                or SubscriptionResult(subscription.key, subscription.source,
+                                      False, [], payload)
+                for subscription in self._subscriptions
+                if subscription.ordinal not in self._retired]
+
+    @property
+    def matched_results(self) -> List[SubscriptionResult]:
+        """The rows that matched, ordinal order."""
+        return list(self._matched.values())
+
+    def __iter__(self):
+        return iter(self.results)
+
+    def __len__(self) -> int:
+        carried = len(self._subscriptions)
+        return carried - sum(ordinal < carried for ordinal in self._retired)
+
+    def __getitem__(self, key: Hashable) -> SubscriptionResult:
+        try:
+            return self.by_key[key]
+        except KeyError:
+            raise KeyError(f"no subscription with key {key!r}") from None
+
+    @cached_property
+    def by_key(self) -> Dict[Hashable, SubscriptionResult]:
+        return {result.key: result for result in self.results}
+
+    @property
+    def matching_keys(self) -> List[Hashable]:
+        """Keys of the subscriptions the document matched (routing table row)."""
+        return [result.key for result in self._matched.values()]
+
+
+# ---------------------------------------------------------------------------
 # The engine
 # ---------------------------------------------------------------------------
 
@@ -534,23 +630,30 @@ class _OpenElement:
     depth: int
 
 
-class MatcherCore:
-    """Shared single-pass matching machinery.
+class MultiMatcher:
+    """Single-pass matcher for a whole subscription index.
 
-    Owns the element stack, the expectation lifecycle, condition building,
-    value collection and the shared absolute-sub-path sinks.  Subclasses
-    decide which paths feed which result sinks (one path for
-    :class:`StreamingMatcher`, one per subscription for
-    :class:`repro.streaming.engine.MultiMatcher`) and how results are read
-    out.
+    Built by :meth:`SubscriptionIndex.matcher
+    <repro.streaming.engine.SubscriptionIndex.matcher>`; one instance
+    matches one document at a time (the expectations are stream state) and
+    :meth:`reset` readies it for the next.  :func:`repro.streaming.stream_evaluate`
+    is a session over a one-subscription index.  With a
+    :class:`~repro.streaming.delivery.VerdictDelivery` the per-subscription
+    result sinks resolve eagerly: as soon as a subscription is known to
+    match, its verdict is fixed, its buffered entries are dropped, the
+    expectations feeding its sink are unlinked and its gates stop firing —
+    the SDI fast path.
     """
 
-    def __init__(self) -> None:
+    def __init__(self, index: SubscriptionIndex,
+                 automaton: Optional[SubscriptionAutomaton] = None,
+                 delivery: Optional[Delivery] = None):
         self.stats = StreamStats()
-        #: Lazy-DFA structural dispatch (``backend="dfa"``): set by
-        #: subclasses to an :class:`~repro.streaming.automaton.AutomatonRun`;
-        #: ``None`` keeps the pure expectation engine.
-        self._automaton_run: Optional[AutomatonRun] = None
+        #: Lazy-DFA structural dispatch (``backend="dfa"``) over the index's
+        #: shared automaton; ``None`` keeps the pure expectation engine.
+        self._automaton_run: Optional[AutomatonRun] = (
+            AutomatonRun(automaton, self._structural_sink)
+            if automaton is not None else None)
         self._stack: List[_OpenElement] = []
         #: Active expectations, bucketed by node test.
         self._dispatch = _DispatchIndex()
@@ -573,13 +676,20 @@ class MatcherCore:
         #: Pending element string-value collectors, keyed by the element
         #: whose close event finalizes them.
         self._collectors_by_node: Dict[int, List[_ValueCollector]] = {}
-        self._absolute_sinks: Dict[PathExpr, _Sink] = {}
-        self._absolute_value_sinks: Dict[PathExpr, _Sink] = {}
-        #: Substream delivery (see :mod:`repro.streaming.delivery`): the
-        #: shared single-pass tee, or ``None`` outside substream mode — the
-        #: feed loop's only added cost in verdict/ids modes is this check.
-        #: Set by subclasses that support capture (MultiMatcher).
-        self._tee: Optional[SubtreeTee] = None
+        #: Shared sinks of the absolute sub-paths, keyed by
+        #: ``(operand, collect_values)``.
+        self._absolute_sinks: Dict[Tuple[PathExpr, bool], _Sink] = {}
+        #: The emission layer (see :mod:`repro.streaming.delivery`): what a
+        #: decided match delivers.
+        delivery = resolve_delivery(delivery)
+        self._delivery = delivery
+        #: Substream delivery: the shared single-pass tee, or ``None``
+        #: outside substream mode — the feed loop's only added cost in
+        #: verdict/ids modes is this check.  ``add_candidate`` records a
+        #: capture claim for every final match (DFA-accepted structural
+        #: members included) and :meth:`_emit_capture` routes the bytes.
+        self._tee: Optional[SubtreeTee] = (SubtreeTee() if delivery.captures
+                                           else None)
         #: Element matches recorded during the current StartElement's
         #: processing; handed to the tee as that element's capture claims.
         self._pending_claims: List[Tuple[int, _Entry]] = []
@@ -588,10 +698,91 @@ class MatcherCore:
         #: Closed captures whose conditions were still undecided at window
         #: close; settled (``entry.holds()``) when results are read.
         self._deferred_captures: List[object] = []
+        #: Buffered payload chunks: ordinal -> {node_id: bytes}.
+        self._payloads: Dict[int, Dict[int, bytes]] = {}
+        #: Emission dedup — several retained entries may claim the same
+        #: (subscription, node); the payload is emitted once.
+        self._emitted_captures: set = set()
         self._finished = False
         self._halted = False
+        #: Live churn (see :meth:`sync`): the index this session serves, the
+        #: retired-ordinal set shared with it *by reference* (removals take
+        #: effect immediately, mid-document included), and the version /
+        #: generation snapshot the session was last synced to.
+        self._index = index
+        self._retired: set = index._retired
+        self._synced_version: Optional[int] = None
+        self._generation = index.generation
+        self._subscriptions: Tuple[Subscription, ...] = ()
+        #: One result sink per carried ordinal, and the ones this document
+        #: delivered into (each lists itself): all :meth:`results` reads and
+        #: :meth:`reset` clears.
+        self._sinks: List[_ResultSink] = []
+        self._touched: List[_ResultSink] = []
+        #: Verdict mode: ordinals whose verdict is decided.
+        self._satisfied: set = set()
+        self.sync()     # carries every subscription the index has now
+
+    @property
+    def backend(self) -> str:
+        """Which structural dispatch engine this matcher runs on."""
+        return "dfa" if self._automaton_run is not None else "expectations"
+
+    def _structural_sink(self, ordinal: int) -> _Sink:
+        # Live churn: the shared automaton may fire for ordinals this
+        # session retired (removals take effect immediately) or does not
+        # carry yet (adds take effect at the next document, after sync).
+        if ordinal in self._retired or ordinal >= len(self._sinks):
+            return _DROPPED_SINK
+        return self._sinks[ordinal]
+
+    def dfa_state_count(self) -> int:
+        """DFA states materialized in the shared automaton (0 for the
+        expectation backend).  Stable across :meth:`reset` — the warmed
+        transition table is the point of session reuse."""
+        return (self._automaton_run.automaton.state_count()
+                if self._automaton_run is not None else 0)
 
     # -- setup -----------------------------------------------------------
+    def sync(self) -> None:
+        """Bring a live session up to its index's current subscription set.
+
+        The churn counterpart of :meth:`reset`, called *between* documents
+        (the broker's checkout does it whenever the index version moved):
+        appends sinks and per-subscription registries for every ordinal
+        added since the last sync.  Removals need no per-matcher work — the
+        retired set is shared by reference and consulted at delivery time.
+        A vacuumed index (generation bump) cannot be synced to: ordinals
+        were remapped, build a fresh matcher.
+        """
+        index = self._index
+        self._check_generation()
+        if index.version == self._synced_version:
+            return
+        subscriptions = index._subscriptions
+        sinks = self._sinks
+        matches_only = self._delivery.matches_only
+        for ordinal in range(len(sinks), len(subscriptions)):
+            sinks.append(_ResultSink(ordinal, self._touched, matches_only))
+            self._register_absolute_subpaths(subscriptions[ordinal].path)
+        self._subscriptions = tuple(subscriptions)
+        if matches_only:
+            self._seed_retired_verdicts()
+        self._synced_version = index.version
+
+    def _check_generation(self) -> None:
+        if self._index.generation != self._generation:
+            raise StreamingError(
+                "the subscription index was vacuumed (ordinals remapped); "
+                "build a fresh matcher")
+
+    def _seed_retired_verdicts(self) -> None:
+        """Count retired ordinals as settled so early termination still
+        fires: their sinks can never satisfy (every delivery is dropped)."""
+        self._satisfied.update(
+            ordinal for ordinal in self._retired
+            if ordinal < len(self._subscriptions))
+
     def _register_absolute_subpaths(self, expr: PathExpr) -> None:
         """Find absolute sub-paths used inside qualifiers and joins.
 
@@ -635,18 +826,12 @@ class MatcherCore:
                         for qual in step.qualifiers:
                             self._register_absolute_in_qualifier(qual)
             return
-        registry = (self._absolute_value_sinks if collect_values
-                    else self._absolute_sinks)
-        if operand in registry:
+        key = (operand, collect_values)
+        if key in self._absolute_sinks:
             return
-        registry[operand] = _Sink(collect_values=collect_values)
+        self._absolute_sinks[key] = _Sink(collect_values=collect_values)
         # Absolute sub-paths can themselves mention further absolute paths.
         self._register_absolute_subpaths(operand)
-
-    def _absolute_sink(self, operand: PathExpr, collect_values: bool) -> _Sink:
-        registry = (self._absolute_value_sinks if collect_values
-                    else self._absolute_sinks)
-        return registry[operand]
 
     # -- event loop --------------------------------------------------------
     def process(self, events: Iterable[Event]):
@@ -716,15 +901,13 @@ class MatcherCore:
             self._finish()
         else:  # pragma: no cover - defensive
             raise StreamingError(f"unknown event {event!r}")
-        if not self._finished and self._should_halt():
+        if (self._delivery.matches_only and not self._finished
+                and len(self._satisfied) == len(self._subscriptions)):
+            # Early termination: every verdict is decided, so no later
+            # event can change one.
             self.halt()
 
     # -- internals ---------------------------------------------------------
-    def _spawn_roots(self, root_id: int) -> None:  # pragma: no cover - abstract
-        """Reference mode (no automaton): spawn every path this matcher
-        evaluates whole, anchored at the root (:meth:`spawn_root_expr`)."""
-        raise NotImplementedError
-
     def _start_document(self, event: StartDocument) -> None:
         self._stack = [_OpenElement(event.node_id, None, 0)]
         self.stats.nodes_seen += 1
@@ -733,11 +916,15 @@ class MatcherCore:
             # cannot carry) fire here.
             self._automaton_run.on_document_start(self, event.node_id)
         else:
-            self._spawn_roots(event.node_id)
+            # Reference mode: every live subscription spawned whole.
+            retired = self._retired
+            for subscription, sink in zip(self._subscriptions, self._sinks):
+                if subscription.ordinal not in retired:
+                    self.spawn_root_expr(subscription.path, sink,
+                                         event.node_id)
         # Spawn the shared absolute sub-paths.
-        for registry in (self._absolute_sinks, self._absolute_value_sinks):
-            for operand, sink in registry.items():
-                self.spawn_root_expr(operand, sink, event.node_id)
+        for (operand, _), sink in self._absolute_sinks.items():
+            self.spawn_root_expr(operand, sink, event.node_id)
         if self._tee is not None and self._document_claims:
             # Root ("/") matches span the whole document: their windows open
             # now and close at EndDocument (_finish).
@@ -905,11 +1092,15 @@ class MatcherCore:
         expectation.watch = table
 
     def _sink_satisfied(self, sink: _Sink) -> None:
-        """``sink`` just flipped to satisfied: unlink everything feeding it."""
+        """``sink`` just flipped to satisfied: unlink everything feeding it
+        and, in verdict mode, count its subscription's verdict as decided."""
         table = self._sink_watchers.pop(sink, None)
         if table:
             for expectation in list(table.values()):
                 self._expire(expectation)
+        if (self._delivery.matches_only and sink.ordinal is not None
+                and sink.ordinal not in self._retired):
+            self._satisfied.add(sink.ordinal)
 
     def live_expectations(self) -> List[_Expectation]:
         """Snapshot of all waiting + active expectations (diagnostics)."""
@@ -955,15 +1146,6 @@ class MatcherCore:
         self._clear_stream_state()
 
     # -- session control ---------------------------------------------------
-    def _should_halt(self) -> bool:
-        """Whether the rest of the stream can no longer change any result.
-
-        Consulted after every event; the default matcher never halts (a
-        collecting sink accepts matches to the very end).  Verdict-only
-        subclasses override this.
-        """
-        return False
-
     def halt(self) -> None:
         """Stop consuming the stream early: results are already decided.
 
@@ -981,27 +1163,36 @@ class MatcherCore:
         return self._halted
 
     def reset(self) -> None:
-        """Clear all per-document stream state so the matcher can be reused.
+        """Make the matcher ready for the next document of a session.
 
-        This is the resumable-session path: one matcher instance serves a
-        whole feed of documents (see
-        :class:`repro.streaming.broker.DocumentBroker`) without re-running
-        the per-subscription setup its constructor performs — absolute
-        sub-path registration keeps its compiled registry keys and merely
-        gets fresh sinks.  Subclasses extend this with their own result
-        state.
+        Construction is the expensive part at scale — it walks every
+        subscription's AST to register absolute sub-paths.  ``reset`` keeps
+        that (the registry keeps its keys and merely gets fresh sinks) and
+        only clears the per-document state: the stream registries, the
+        result sinks the document *touched* (the others are empty already —
+        O(matches), not O(N)) and satisfied verdicts.  This is what lets
+        one :class:`~repro.streaming.broker.DocumentBroker` session amortize
+        the compiled index over a continuous feed of documents.
         """
+        self._check_generation()
         self.stats = StreamStats()
         self._clear_stream_state()
         self._serial = 0
         self._collectors_by_node = {}
         self._deferred_captures = []
-        for registry in (self._absolute_sinks, self._absolute_value_sinks):
-            for operand in list(registry):
-                registry[operand] = _Sink(
-                    collect_values=registry[operand].collect_values)
+        for key in self._absolute_sinks:
+            self._absolute_sinks[key] = _Sink(collect_values=key[1])
         self._finished = False
         self._halted = False
+        for sink in self._touched:
+            sink.entries.clear()
+            sink.satisfied = False
+        self._touched.clear()
+        self._satisfied.clear()
+        self._payloads = {}
+        self._emitted_captures = set()
+        if self._delivery.matches_only:
+            self._seed_retired_verdicts()
 
     def registry_sizes(self) -> Dict[str, int]:
         """Sizes of every engine-internal registry (diagnostics).
@@ -1244,8 +1435,26 @@ class MatcherCore:
             if capture.entry.holds():
                 self._emit_capture(capture)
 
-    def _emit_capture(self, capture) -> None:  # pragma: no cover - abstract
-        raise NotImplementedError
+    def _emit_capture(self, capture) -> None:
+        """Route one decided capture's payload bytes to its subscriber."""
+        if capture.ordinal in self._retired:
+            # Unsubscribed while the capture window was open (or before the
+            # deferred-capture drain): the payload is no longer owed.
+            return
+        dedup = (capture.ordinal, capture.node_id)
+        if dedup in self._emitted_captures:
+            return
+        self._emitted_captures.add(dedup)
+        data = capture.render()
+        self.stats.subtrees_emitted += 1
+        self.stats.bytes_emitted += len(data)
+        on_payload = self._delivery.on_payload
+        if on_payload is not None:
+            on_payload(self._subscriptions[capture.ordinal].key,
+                       capture.node_id, data)
+        else:
+            self._payloads.setdefault(capture.ordinal, {})[
+                capture.node_id] = data
 
     # -- conditions ---------------------------------------------------------
     def _build_condition(self, qual: Qualifier, node_id: int, depth: int,
@@ -1308,7 +1517,7 @@ class MatcherCore:
         absolute sink, or a fresh one fed by the operand's union members
         spawned from the carrier node (``exists_only`` for ``[path]``)."""
         if analysis.is_absolute(operand):
-            return self._absolute_sink(operand, collect_values)
+            return self._absolute_sinks[operand, collect_values]
         sink = _Sink(collect_values=collect_values, exists_only=exists_only)
         for member in iter_union_members(operand):
             if isinstance(member, Bottom):
@@ -1320,57 +1529,42 @@ class MatcherCore:
                              anchor_is_attribute=is_attribute)
         return sink
 
-
-# ---------------------------------------------------------------------------
-# The single-query matcher
-# ---------------------------------------------------------------------------
-
-class StreamingMatcher(MatcherCore):
-    """Single-pass matcher for one reverse-axis-free path expression.
-
-    ``backend`` selects the structural dispatch engine: ``"dfa"`` (the
-    default) compiles the path's structural spine into a lazy automaton and
-    runs expectations only past qualifier gates (see
-    :mod:`repro.streaming.automaton`); ``"expectations"`` matches every
-    step through the expectation machinery instead — the differential
-    semantics reference.  ``None`` defers to the
-    ``REPRO_STREAMING_BACKEND`` environment variable, then to ``"dfa"``.
-    """
-
-    def __init__(self, path: PathExpr, backend: Optional[str] = None):
-        if analysis.has_reverse_steps(path):
-            raise ReverseAxisStreamingError(
-                f"path {to_string(path)} contains reverse axes; rewrite it with "
-                f"repro.rewrite.remove_reverse_axes first")
-        super().__init__()
-        self.path = path
-        self.backend = resolve_backend(backend)
-        self._result_sink = _Sink()
-        self._register_absolute_subpaths(self.path)
-        if self.backend == "dfa":
-            self._automaton_run = AutomatonRun(
-                compile_subscription_automaton([(0, self.path)]),
-                self._structural_sink)
-
-    def _structural_sink(self, ordinal: int) -> _Sink:
-        return self._result_sink
-
-    def _spawn_roots(self, root_id: int) -> None:
-        self.spawn_root_expr(self.path, self._result_sink, root_id)
-
-    def reset(self) -> None:
-        super().reset()
-        self._result_sink = _Sink()
-
-    def results(self) -> List[int]:
-        """Node ids selected by the path (requires the stream to be finished)."""
+    # -- results -----------------------------------------------------------
+    def results(self) -> MultiMatchResult:
+        """Per-subscription verdicts (requires the stream to be finished), read
+        off the touched sinks only, one row per match: O(matches), not O(N)."""
         if not self._finished:
             raise StreamingError("results() called before the end of the stream")
-        selected: Set[int] = set()
-        for entry in self._result_sink.entries:
-            if entry.node_id in selected:
+        delivery = self._delivery
+        if delivery.captures:
+            # Captures whose conditions were undecided at window close are
+            # settled now, with the same entry.holds() the id readout uses.
+            self._drain_deferred_captures()
+        empty_payload = (b"" if delivery.captures
+                         and delivery.on_payload is None else None)
+        # Unsubscribed (possibly mid-document): no longer reported.
+        retired = frozenset(self._retired)
+        matched: Dict[int, SubscriptionResult] = {}
+        total = 0
+        for sink in sorted(self._touched, key=lambda sink: sink.ordinal):
+            if sink.ordinal in retired:
                 continue
-            if entry.holds():
-                selected.add(entry.node_id)
-        self.stats.results = len(selected)
-        return sorted(selected)
+            node_ids = sorted({entry.node_id for entry in sink.entries
+                               if entry.holds()})
+            if not (node_ids or sink.satisfied):
+                continue
+            if delivery.matches_only:
+                # Verdict-only mode: ids of candidates that happened to be
+                # buffered before the verdict settled are not a full answer,
+                # so none are reported.
+                node_ids = []
+            chunks = self._payloads.get(sink.ordinal)
+            subscription = self._subscriptions[sink.ordinal]
+            matched[sink.ordinal] = SubscriptionResult(
+                subscription.key, subscription.source, True, node_ids,
+                b"".join(chunks[node_id] for node_id in sorted(chunks))
+                if chunks else empty_payload)
+            total += len(node_ids)
+        self.stats.results = total
+        return MultiMatchResult(matched, self._subscriptions, retired,
+                                empty_payload, self.stats)

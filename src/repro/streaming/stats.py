@@ -21,7 +21,7 @@ class StreamStats:
     events: int = 0
     #: Events the engine did *not* process because every verdict was already
     #: decided (verdict-only sessions terminate early; see
-    #: :meth:`repro.streaming.matcher.MatcherCore.halt`).  Exact when the
+    #: :meth:`repro.streaming.matcher.MultiMatcher.halt`).  Exact when the
     #: event source has a known length; otherwise it counts the events that
     #: were still offered to a halted matcher.
     events_skipped: int = 0
@@ -40,7 +40,7 @@ class StreamStats:
     expectations_created: int = 0
     max_live_expectations: int = 0
     #: Expectations actually examined against node events.  With the
-    #: tag-indexed dispatch of :class:`repro.streaming.matcher.MatcherCore`
+    #: tag-indexed dispatch of :class:`repro.streaming.matcher.MultiMatcher`
     #: only the buckets a node can match are consulted; this counter is the
     #: per-event cost the index is built to shrink.
     expectations_checked: int = 0

@@ -31,7 +31,7 @@ def dense_readout(matcher: MultiMatcher) -> List[SubscriptionResult]:
     for subscription, sink in zip(matcher._subscriptions, matcher._sinks):
         if subscription.ordinal in matcher._retired:
             continue
-        if matcher._matches_only:
+        if delivery.matches_only:
             node_ids = []
             matched = sink.nonempty()
         else:

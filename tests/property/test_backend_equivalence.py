@@ -194,9 +194,10 @@ def test_flushes_inside_events_change_nothing(document, split):
             assert_sparse_equals_dense(brokers[1].session, roomy)
             # Until its first flush the tiny cache fills exactly like the
             # roomy one, so a roomy cache past 16 entries means it flushed.
-            figures = brokers[1].session._automaton.describe()
+            figures = brokers[1].session._automaton_run.automaton.describe()
             if figures["dfa_states"] + figures["transitions_cached"] > 16:
-                assert brokers[0].session._automaton.describe()["flushes"]
+                assert brokers[0].session._automaton_run.automaton.describe()[
+                    "flushes"]
             assert figures["flushes"] == 0
             paths = {subscription.key: subscription.path
                      for subscription in brokers[0].subscriptions}

@@ -14,7 +14,6 @@ from repro.streaming import (
     SubscriptionIndex,
     VerdictDelivery,
     stream_evaluate,
-    stream_matches,
 )
 from repro.xmlmodel.builder import document_events
 from repro.xpath.cache import QueryCache
@@ -67,12 +66,15 @@ def test_multi_matcher_equals_independent_runs_after_rewriting(document, queries
 @given(document=documents(), queries=forward_batches)
 @settings(max_examples=50, **SETTINGS)
 def test_matches_only_verdicts_equal_stream_matches(document, queries):
-    """The SDI fast path decides exactly the same verdicts."""
+    """The SDI fast path decides exactly the same verdicts as a full
+    node-ids evaluation (not as ``stream_matches``, itself a verdict
+    session)."""
     events = list(document_events(document))
     index = SubscriptionIndex(cache=QueryCache())
     for position, query in enumerate(queries):
         index.add(query, key=position)
     verdicts = index.evaluate(events, delivery=VerdictDelivery())
     for position, query in enumerate(queries):
-        expected = stream_matches(index.subscriptions[position].path, events)
+        expected = stream_evaluate(index.subscriptions[position].path,
+                                   events).matched
         assert verdicts[position].matched == expected, query

@@ -16,9 +16,9 @@ from repro.streaming import (
     NodeIdDelivery,
     SubscriptionIndex,
     VerdictDelivery,
-    engine,
+    matcher,
 )
-from repro.streaming.matcher import MatcherCore, _Sink
+from repro.streaming.matcher import MultiMatcher, _Sink
 from repro.xmlmodel.parser import iter_events
 
 from tests.dense_oracle import DELIVERIES
@@ -48,14 +48,14 @@ def big_index():
 @pytest.fixture
 def rows_built(monkeypatch):
     """Counts every ``SubscriptionResult`` the engine constructs."""
-    class Counted(engine.SubscriptionResult):
+    class Counted(matcher.SubscriptionResult):
         built = 0
 
         def __init__(self, *args, **kwargs):
             Counted.built += 1
             super().__init__(*args, **kwargs)
 
-    monkeypatch.setattr(engine, "SubscriptionResult", Counted)
+    monkeypatch.setattr(matcher, "SubscriptionResult", Counted)
     return Counted
 
 
@@ -195,5 +195,5 @@ def test_a_result_is_a_value_under_later_documents_and_churn(
     broker.submit("fourth", SECOND)
 
     assert _views(first) == expected
-    assert not any(isinstance(thing, (_Sink, MatcherCore))
+    assert not any(isinstance(thing, (_Sink, MultiMatcher))
                    for thing in _reachable(first, set()))

@@ -16,7 +16,6 @@ from repro.streaming.automaton import (
     resolve_backend,
 )
 from repro.streaming.dom_baseline import dom_evaluate
-from repro.streaming.matcher import StreamingMatcher
 from repro.xmlmodel.builder import document_events
 from repro.xmlmodel.document import Document, element, text
 from repro.xmlmodel.serialize import to_xml
@@ -70,8 +69,6 @@ class TestBackendResolution:
         index = SubscriptionIndex({"q": "/descendant::a"})
         assert index.matcher(backend="dfa").backend == "dfa"
         assert index.matcher(backend="expectations").backend == "expectations"
-        assert StreamingMatcher(parse_xpath("/child::a"),
-                                backend="dfa").backend == "dfa"
 
 
 #: Adversarial named descendant-or-self chains: k repetitions compile to
@@ -274,7 +271,7 @@ class TestCompilation:
         matcher = index.matcher(backend="dfa")
         document = Document.from_tree(element("a", element("b")))
         matcher.process(document_events(document))
-        figures = matcher._automaton.describe()
+        figures = matcher._automaton_run.automaton.describe()
         assert figures["nfa_states"] > 0
         assert figures["dfa_states"] == matcher.dfa_state_count() > 0
         assert figures["transition_cap"] == DEFAULT_TRANSITION_CAP
@@ -342,13 +339,13 @@ class TestLazyMaterialization:
             fresh = reference.evaluate(events, backend="dfa")
             for key in queries:
                 assert result[key].node_ids == fresh[key].node_ids, key
-            automaton = broker.session._automaton
+            automaton = broker.session._automaton_run.automaton
             figures = automaton.describe()
             assert automaton.state_count() + figures["transitions_cached"] \
                 <= figures["transition_cap"] + 2
             if figures["flushes"] and flushed_stats is None:
                 flushed_stats = result.stats
-        assert broker.session._automaton.describe()["flushes"] > 0
+        assert broker.session._automaton_run.automaton.describe()["flushes"] > 0
         assert flushed_stats is not None
         assert flushed_stats.transition_cache_flushed > 0
 
@@ -374,9 +371,9 @@ class TestQualifierGating:
                                     authors_per_article=2, seed=5)
         events = list(document_events(document))
         query = "/descendant::journal[child::price]/child::title"
-        gated = StreamingMatcher(parse_xpath(query), backend="dfa")
-        full = StreamingMatcher(parse_xpath(query), backend="expectations")
-        assert gated.process(events) == full.process(events)
+        gated = stream_evaluate(query, events, backend="dfa")
+        full = stream_evaluate(query, events, backend="expectations")
+        assert gated.node_ids == full.node_ids
         assert 0 < gated.stats.expectations_created
         assert (gated.stats.expectations_created
                 < full.stats.expectations_created)
@@ -384,12 +381,11 @@ class TestQualifierGating:
     def test_structurally_decided_subscriptions_spawn_nothing(self):
         document = journal_document(journals=10, seed=3)
         events = list(document_events(document))
-        matcher = StreamingMatcher(parse_xpath("/descendant::journal/child::title"),
-                                   backend="dfa")
-        result = matcher.process(events)
-        assert result
-        assert matcher.stats.expectations_created == 0
-        assert matcher.stats.conditions_created == 0
+        result = stream_evaluate("/descendant::journal/child::title", events,
+                                 backend="dfa")
+        assert result.node_ids
+        assert result.stats.expectations_created == 0
+        assert result.stats.conditions_created == 0
 
     def test_sibling_windows_run_without_expectations(self):
         # //title/following-sibling::price used to hand over to the

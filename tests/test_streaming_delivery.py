@@ -16,13 +16,13 @@ import pytest
 from repro.semantics.evaluator import select_positions
 from repro.streaming import (
     DocumentBroker,
+    MultiMatcher,
     NodeIdDelivery,
     SubscriptionIndex,
     SubstreamDelivery,
     VerdictDelivery,
 )
 from repro.streaming.delivery import SubtreeTee, resolve_delivery
-from repro.streaming.engine import MultiMatcher
 from repro.xmlmodel.builder import document_events
 from repro.xmlmodel.document import Document, element, text
 from repro.xmlmodel.events import EndElement, StartElement, Text

@@ -11,7 +11,6 @@ from repro.streaming import (
     stream_evaluate,
     stream_matches,
 )
-from repro.streaming.matcher import StreamingMatcher
 from repro.xmlmodel.builder import document_events
 from repro.xpath import analysis
 from repro.xpath.cache import QueryCache, compile_query
@@ -59,15 +58,6 @@ class TestSubscriptionIndex:
         result = index.evaluate(events, backend=backend)
         assert (result["alice"].node_ids == result["bob"].node_ids
                 == result["carol"].node_ids != [])
-        if backend == "dfa":
-            # Three identical subscriptions walk one shared automaton spine,
-            # so the engine spawns no more expectations than a single
-            # matcher would.  (The reference mode runs them independently.)
-            single = StreamingMatcher(index.subscriptions[0].path,
-                                      backend=backend)
-            single.process(events)
-            assert (result.stats.expectations_created
-                    == single.stats.expectations_created)
 
     def test_matches_only_verdicts(self, events, backend):
         queries = dict(OVERLAPPING, missing="/descendant::nosuchtag")

@@ -1,10 +1,15 @@
-"""Unit tests for the single-pass streaming matcher (repro.streaming.matcher)."""
+"""Unit tests for single-query streaming (``stream_evaluate`` and the
+session it runs, :class:`repro.streaming.matcher.MultiMatcher`)."""
 
 import pytest
 
 from repro.errors import ReverseAxisStreamingError, StreamingError
-from repro.streaming import dom_evaluate, stream_evaluate, stream_matches
-from repro.streaming.matcher import StreamingMatcher
+from repro.streaming import (
+    SubscriptionIndex,
+    dom_evaluate,
+    stream_evaluate,
+    stream_matches,
+)
 from repro.xmlmodel.builder import document_events
 from repro.xmlmodel.events import (
     EndDocument,
@@ -15,11 +20,28 @@ from repro.xmlmodel.events import (
 )
 from repro.xmlmodel.parser import iter_events
 from repro.datasets import FIGURE1_XML
-from repro.xpath.parser import parse_xpath
+from repro.xmlmodel.generator import journal_document
+from repro.xpath.cache import compile_cache_info
 
 
 def run(expression, document):
     return stream_evaluate(expression, document_events(document)).node_ids
+
+
+def session(query, backend=None):
+    """A node-ids session over a one-subscription index (what
+    ``stream_evaluate`` runs), for tests that feed events one by one."""
+    return SubscriptionIndex([query]).matcher(backend=backend)
+
+
+def pulled_until(events, last):
+    """``events`` as an iterator that fails the test if anything is pulled
+    after the event at position ``last``."""
+    for position, event in enumerate(events):
+        if position > last:
+            pytest.fail(f"pulled event {position} ({event!r}) after the "
+                        "answer was decided")
+        yield event
 
 
 class TestBasicMatching:
@@ -133,8 +155,17 @@ class TestInputsAndErrors:
         with pytest.raises(StreamingError):
             stream_evaluate("child::a", document_events(figure1))
 
+    @pytest.mark.parametrize("backend", ["dfa", "expectations"])
+    @pytest.mark.parametrize("query", ["child::a", "/child::a | child::b"])
+    def test_relative_path_rejected_before_any_event_is_pulled(self, query,
+                                                               backend):
+        for evaluate in (stream_evaluate, stream_matches):
+            with pytest.raises(StreamingError, match="absolute"):
+                evaluate(query, pulled_until([StartDocument()], -1),
+                         backend=backend)
+
     def test_results_before_end_of_stream_rejected(self, figure1):
-        matcher = StreamingMatcher(parse_xpath("/descendant::name"))
+        matcher = session("/descendant::name")
         events = list(document_events(figure1))
         for event in events[:-1]:
             matcher.feed(event)
@@ -157,8 +188,7 @@ class TestInputsAndErrors:
         else:
             prefix = []
         for stray in strays:
-            matcher = StreamingMatcher(parse_xpath("/descendant::name"),
-                                       backend=backend)
+            matcher = session("/descendant::name", backend=backend)
             for event in prefix:
                 matcher.feed(event)
             with pytest.raises(StreamingError, match="outside a document|"
@@ -172,6 +202,26 @@ class TestInputsAndErrors:
     def test_stream_matches_boolean(self, figure1):
         assert stream_matches("/descendant::price", document_events(figure1))
         assert not stream_matches("/descendant::missing", document_events(figure1))
+
+    def test_single_queries_leave_the_shared_compile_cache_alone(self,
+                                                                figure1):
+        before = compile_cache_info()
+        stream_evaluate("/descendant::name", document_events(figure1))
+        stream_matches("/descendant::name", document_events(figure1))
+        assert compile_cache_info() == before
+
+    @pytest.mark.parametrize("backend", ["dfa", "expectations"])
+    def test_stream_matches_stops_at_the_deciding_event(self, backend):
+        # A verdict is decided at the first match's StartElement: the rest
+        # of the 18k-event document is never pulled.
+        events = list(document_events(journal_document(journals=200)))
+        first_title = next(position for position, event in enumerate(events)
+                           if isinstance(event, StartElement)
+                           and event.tag == "title")
+        assert first_title < 10 and len(events) > 18000
+        assert stream_matches("/descendant::title",
+                              pulled_until(events, first_title),
+                              backend=backend)
 
 
 class TestDispatchIndex:
@@ -191,24 +241,22 @@ class TestDispatchIndex:
     @pytest.mark.parametrize("query", QUERIES)
     def test_dispatch_agrees_with_dom(self, figure1, query):
         events = list(document_events(figure1))
-        matcher = StreamingMatcher(parse_xpath(query), backend="expectations")
-        assert matcher.process(events) == dom_evaluate(query, events).node_ids
+        assert (stream_evaluate(query, events, backend="expectations").node_ids
+                == dom_evaluate(query, events).node_ids)
 
     def test_named_tests_skip_unrelated_tags(self, catalogue):
         # A single named-test step is only ever checked against elements of
         # that tag: one check per matching start-element.
         events = list(document_events(catalogue))
-        matcher = StreamingMatcher(parse_xpath("/descendant::price"),
-                                   backend="expectations")
-        result = matcher.process(events)
-        assert matcher.stats.expectations_checked == len(result)
+        result = stream_evaluate("/descendant::price", events,
+                                 backend="expectations")
+        assert result.stats.expectations_checked == len(result)
 
     def test_child_expectations_expire_with_their_anchor(self, figure1):
         # /child::journal/child::authors/child::name: once </authors> is
         # seen, the child::name expectation anchored at it must be gone even
         # though the stream continues.
-        matcher = StreamingMatcher(
-            parse_xpath("/child::journal/child::authors/child::name"))
+        matcher = session("/child::journal/child::authors/child::name")
         events = list(document_events(figure1))
         from repro.xmlmodel.events import EndElement
         authors_end = next(index for index, event in enumerate(events)
@@ -223,8 +271,7 @@ class TestDispatchIndex:
     def test_satisfied_existence_sink_unlinks_its_expectations(self, figure1):
         # [descendant::name] resolves at the first name; its expectation is
         # unlinked the moment the sink satisfies, not at some later event.
-        matcher = StreamingMatcher(
-            parse_xpath("/child::journal[descendant::name]"))
+        matcher = session("/child::journal[descendant::name]")
         events = list(document_events(figure1))
         from repro.xmlmodel.events import StartElement
         first_name = next(index for index, event in enumerate(events)
@@ -236,13 +283,12 @@ class TestDispatchIndex:
             expectation for expectation in matcher.live_expectations()
             if expectation.step.node_test.name == "name"]
         assert qualifier_expectations == []
-        assert matcher.process(events[first_name + 1:]) == [1]
+        assert matcher.process(events[first_name + 1:])[0].node_ids == [1]
 
     def test_following_sibling_window_pops_with_the_parent(self, figure1):
         # title/following-sibling::price is anchored under journal; when
         # </journal> arrives the sibling window must be dropped.
-        matcher = StreamingMatcher(
-            parse_xpath("/descendant::title/following-sibling::price"))
+        matcher = session("/descendant::title/following-sibling::price")
         events = list(document_events(figure1))
         from repro.xmlmodel.events import EndElement
         journal_end = next(index for index, event in enumerate(events)

@@ -4,7 +4,7 @@ import dataclasses
 
 import pytest
 
-from repro.streaming import stream_evaluate
+from repro.streaming import dom_evaluate, stream_evaluate
 from repro.streaming.broker import BrokerStats
 from repro.streaming.delivery import (
     NodeIdDelivery,
@@ -12,14 +12,12 @@ from repro.streaming.delivery import (
     VerdictDelivery,
 )
 from repro.streaming.engine import SubscriptionIndex
-from repro.streaming.matcher import StreamingMatcher
 from repro.streaming.stats import ChurnStats, StreamStats
 from repro.workloads.queries import differential_query_pool
 from repro.xmlmodel.builder import document_events
 from repro.xmlmodel.document import Document, element, text
 from repro.xmlmodel.events import EndDocument, StartDocument
 from repro.xmlmodel.generator import item_feed_document, journal_document
-from repro.xpath.parser import parse_xpath
 
 
 class TestStreamStats:
@@ -65,8 +63,8 @@ class TestCountersDuringARun:
             element("a",
                     element("b", text("x"), element("c")),
                     element("b", element("c", text("y")))))
-        matcher = StreamingMatcher(
-            parse_xpath("/descendant::b[child::c]/descendant::node()"))
+        matcher = SubscriptionIndex(
+            ["/descendant::b[child::c]/descendant::node()"]).matcher()
         previous = {name: 0 for name in MONOTONIC_COUNTERS}
         for event in document_events(document):
             matcher.feed(event)
@@ -79,15 +77,14 @@ class TestCountersDuringARun:
     def test_max_depth_is_a_high_water_mark(self):
         document = Document.from_tree(
             element("a", element("b", element("c")), element("b")))
-        matcher = StreamingMatcher(parse_xpath("/descendant::c"))
-        matcher.process(document_events(document))
-        assert matcher.stats.max_depth == 3
+        result = stream_evaluate("/descendant::c", document_events(document))
+        assert result.stats.max_depth == 3
 
     def test_max_live_expectations_is_a_high_water_mark(self):
         document = Document.from_tree(
             element("a", element("b"), element("b"), element("b")))
-        matcher = StreamingMatcher(parse_xpath("/descendant::b/child::c"),
-                                   backend="expectations")
+        matcher = SubscriptionIndex(["/descendant::b/child::c"]).matcher(
+            backend="expectations")
         matcher.process(document_events(document))
         # After the stream all expectations are discarded, but the high-water
         # mark keeps the peak.
@@ -95,10 +92,9 @@ class TestCountersDuringARun:
         assert matcher.stats.max_live_expectations >= 2
 
     def test_empty_stream(self):
-        matcher = StreamingMatcher(parse_xpath("/"))
-        result = matcher.process([StartDocument(), EndDocument()])
-        assert result == [0]
-        stats = matcher.stats
+        result = stream_evaluate("/", [StartDocument(), EndDocument()])
+        assert result.node_ids == [0]
+        stats = result.stats
         assert stats.events == 2
         assert stats.nodes_seen == 1        # only the root
         assert stats.max_depth == 0
@@ -107,20 +103,18 @@ class TestCountersDuringARun:
 
     def test_single_element_document(self):
         document = Document.from_tree(element("a"))
-        matcher = StreamingMatcher(parse_xpath("/child::a"))
-        result = matcher.process(document_events(document))
-        assert result == [1]
-        assert matcher.stats.nodes_seen == 2    # root + element
-        assert matcher.stats.max_depth == 1
-        assert matcher.stats.results == 1
+        result = stream_evaluate("/child::a", document_events(document))
+        assert result.node_ids == [1]
+        assert result.stats.nodes_seen == 2    # root + element
+        assert result.stats.max_depth == 1
+        assert result.stats.results == 1
 
     def test_buffered_value_chars_counts_join_text(self):
         document = Document.from_tree(
             element("a", element("b", text("xyz")), element("c", text("xyz"))))
-        matcher = StreamingMatcher(
-            parse_xpath("/descendant::b[self::node() = /descendant::c]"))
-        matcher.process(document_events(document))
-        assert matcher.stats.buffered_value_chars >= len("xyz")
+        result = stream_evaluate("/descendant::b[self::node() = /descendant::c]",
+                                 document_events(document))
+        assert result.stats.buffered_value_chars >= len("xyz")
 
 
 def assert_internally_consistent(stats, total_events=None):
@@ -180,10 +174,8 @@ class TestStatsInvariants:
     def test_single_query_counters_are_consistent(self, backend):
         events = list(document_events(self._document()))
         for query in self.QUERIES.values():
-            matcher = StreamingMatcher(parse_xpath(query), backend=backend)
-            matcher.process(events)
-            assert_internally_consistent(matcher.stats,
-                                         total_events=len(events))
+            stats = stream_evaluate(query, events, backend=backend).stats
+            assert_internally_consistent(stats, total_events=len(events))
 
     def test_dfa_counters_stay_zero_on_the_expectation_backend(self):
         events = list(document_events(self._document()))
@@ -320,3 +312,52 @@ def test_pool_level_work_counters_are_pinned(document, backend, delivery):
                            delivery=delivery()).stats
     assert tuple(getattr(stats, name) for name in POOL_COUNTERS) == \
         POOL_GOLDEN[(document, backend, delivery)]
+
+
+#: (document, backend) -> the nonzero ``StreamStats.as_row()`` totals of one
+#: ``stream_evaluate`` run per query of the pool, ``memory_units`` included.
+#: Recorded on the two-class single-query matcher, before ``stream_evaluate``
+#: became a one-subscription index session: the single-query door must do
+#: exactly the work it did.
+SINGLE_QUERY_GOLDEN = {
+    ("journal", "dfa"): dict(
+        events=6720, nodes_seen=4440, attributes_seen=360, max_depth=300,
+        expectations_created=236, max_live_expectations=41,
+        expectations_checked=150, dfa_states_materialized=132,
+        transition_cache_lookups=2646, transition_cache_hits=2152,
+        conditions_created=179, candidates_buffered=448,
+        buffered_value_chars=1244, results=303, memory_units=489),
+    ("journal", "expectations"): dict(
+        events=6720, nodes_seen=4440, attributes_seen=360, max_depth=300,
+        expectations_created=1388, max_live_expectations=394,
+        expectations_checked=3378, conditions_created=185,
+        candidates_buffered=1162, buffered_value_chars=1244, results=303,
+        memory_units=1556),
+    ("item_feed", "dfa"): dict(
+        events=6000, nodes_seen=6120, attributes_seen=2400, max_depth=180,
+        expectations_created=267, max_live_expectations=51,
+        expectations_checked=237, dfa_states_materialized=136,
+        transition_cache_lookups=2848, transition_cache_hits=2524,
+        conditions_created=223, candidates_buffered=569,
+        buffered_value_chars=1997, results=322, memory_units=620),
+    ("item_feed", "expectations"): dict(
+        events=6000, nodes_seen=6120, attributes_seen=2400, max_depth=180,
+        expectations_created=1437, max_live_expectations=366,
+        expectations_checked=4323, conditions_created=235,
+        candidates_buffered=2002, buffered_value_chars=1997, results=322,
+        memory_units=2368),
+}
+
+
+@pytest.mark.parametrize("document,backend", list(SINGLE_QUERY_GOLDEN))
+def test_single_query_counters_are_pinned(document, backend):
+    build, vocabulary = POOL_DOCUMENTS[document]
+    events = list(document_events(build()))
+    totals = dict.fromkeys(StreamStats().as_row(), 0)
+    for query in differential_query_pool(60, seed=3, **vocabulary):
+        result = stream_evaluate(query, events, backend=backend)
+        assert result.node_ids == dom_evaluate(query, events).node_ids, query
+        for name, value in result.stats.as_row().items():
+            totals[name] += value
+    assert {name: value for name, value in totals.items() if value} == \
+        SINGLE_QUERY_GOLDEN[(document, backend)]
