@@ -9,8 +9,9 @@ provides:
   :class:`MultiMatcher` session advancing every subscription of an index in
   one document pass, and the per-document result records,
 * :mod:`repro.streaming.engine` — the :class:`SubscriptionIndex`
-  compiling thousands of subscriptions into one shared automaton (the
-  paper's SDI use case at scale; one query is an index of one),
+  compiling thousands of subscriptions into one shared automaton, one
+  member per distinct compiled path (the paper's SDI use case at scale;
+  one query is an index of one),
 * :mod:`repro.streaming.automaton` — the lazy-DFA structural dispatch
   backend (``backend="dfa"``): subscription spines compiled into one shared
   automaton, DFA states materialized lazily at match time,
@@ -171,7 +172,8 @@ subscribes or unsubscribes, so a built :class:`SubscriptionIndex` is
 *churnable* in place:
 
 * :meth:`SubscriptionIndex.add_subscription(key, query)
-  <SubscriptionIndex.add_subscription>` threads the new query into the
+  <SubscriptionIndex.add_subscription>` joins the query's live member if
+  there is one — no automaton update — or threads the new member into the
   built automaton incrementally — the new NFA fragments merge into it,
   followed by a **targeted invalidation**: only the materialized DFA states
   whose NFA-state sets intersect the touched fragments are patched (accept
@@ -181,12 +183,12 @@ subscribes or unsubscribes, so a built :class:`SubscriptionIndex` is
   states does it fall back to the wholesale flush
   (``ChurnStats.full_flushes``).
 * :meth:`SubscriptionIndex.remove_subscription(key)
-  <SubscriptionIndex.remove_subscription>` is **ordinal retirement**: the
-  slot stays (no ordinal shifts, so no session rebuild) and deliveries for
-  the ordinal are dropped at the sink boundary — by live sessions too,
-  immediately, mid-document.  The dead NFA fragments linger until
-  :meth:`SubscriptionIndex.vacuum` compacts them:
-  automatically once retired ordinals exceed ``vacuum_ratio`` (default
+  <SubscriptionIndex.remove_subscription>` drops the key's row — by live
+  sessions too, immediately, mid-document; the slot stays (no ordinal
+  shifts, so no session rebuild).  The last key **retires** its member:
+  deliveries to it are dropped at the sink boundary and its dead NFA
+  fragments linger until :meth:`SubscriptionIndex.vacuum` compacts them:
+  automatically once retired members exceed ``vacuum_ratio`` (default
   0.25) of the index, or explicitly in a maintenance window.  A vacuum
   remaps ordinals and bumps the index *generation*; existing sessions must
   then be rebuilt (the broker does this at its next checkout).

@@ -141,7 +141,7 @@ class _Gate:
     """Hand-off point from the automaton to the expectation engine.
 
     Fires on every node that structurally matches the compiled spine prefix
-    of subscription ``ordinal``: the engine then builds ``qualifiers`` into
+    of index member ``ordinal``: the engine then builds ``qualifiers`` into
     conditions and spawns expectations for ``remaining`` anchored at that
     node.  Both tuples may be empty — an empty gate ( ``()``, ``()`` ) never
     exists; a gate with no qualifiers hands over at an unsupported axis, one
@@ -338,7 +338,7 @@ def compile_subscription_automaton(
         subscriptions: Sequence[Tuple[int, PathExpr]],
         transition_cap: int = DEFAULT_TRANSITION_CAP
         ) -> "SubscriptionAutomaton":
-    """Compile ``(ordinal, path)`` pairs into one shared lazy automaton."""
+    """Compile ``(member ordinal, path)`` pairs into one shared lazy automaton."""
     builder = _NfaBuilder()
     for ordinal, path in subscriptions:
         _compile_path(builder, ordinal, path)
@@ -431,7 +431,7 @@ class SubscriptionAutomaton:
 
     # -- live churn --------------------------------------------------------
     def add_member(self, ordinal: int, path: PathExpr, churn=None) -> None:
-        """Thread one more subscription's fragments into the live automaton.
+        """Thread one more member's fragments into the live automaton.
 
         The incremental mirror of :func:`compile_subscription_automaton`:
         the retained builder inserts the path's union members trie-style
@@ -593,7 +593,7 @@ class AutomatonRun:
     clears them, while the automaton's warmed states deliberately survive
     into the next document.
 
-    ``sink_of`` maps a subscription ordinal to its current result sink; it
+    ``sink_of`` maps a member ordinal to its current result sink; it
     is consulted at fire time so sinks replaced by ``reset()`` stay correct.
     """
 

@@ -137,7 +137,7 @@ class DocumentBroker:
     session follows along at the next checkout: additions are picked up by
     an incremental :meth:`~repro.streaming.matcher.MultiMatcher.sync` (the
     index ``version`` counter), removals take effect immediately through
-    the shared retired set, and only a :meth:`SubscriptionIndex.vacuum`
+    the shared member lists, and only a :meth:`SubscriptionIndex.vacuum`
     (the ``generation`` counter) forces a fresh session.  Churn on a shared
     index is equally safe — every broker on it syncs at its own next
     submit.
@@ -199,8 +199,8 @@ class DocumentBroker:
     def unsubscribe(self, key: Hashable) -> Subscription:
         """Live churn: drop one subscription from the running broker.
 
-        Delegates to :meth:`SubscriptionIndex.remove_subscription`
-        (ordinal retirement + deferred vacuum); no delivery for the key
+        Delegates to :meth:`SubscriptionIndex.remove_subscription` (the
+        last key retires its member + deferred vacuum); no delivery for the key
         happens after this returns.  Raises :class:`KeyError` for an
         unknown key.
         """
@@ -228,7 +228,7 @@ class DocumentBroker:
         elif matcher._synced_version != index.version:
             # Subscription churn since the last submit: extend the session
             # incrementally instead of rebuilding it (removals need no sync
-            # at all — the retired set is shared by reference).
+            # at all — member lists and retired sets are shared by reference).
             matcher.sync()
         if self._session_used:
             matcher.reset()

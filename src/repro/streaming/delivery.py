@@ -22,8 +22,9 @@ a ``(start, end)`` *slice* of the same region — matches never get
 per-subscriber event copies, no matter how many subscribers capture the
 same subtree.  When the last open window closes, the region is dropped and
 teeing stops, so the tee costs nothing on stretches of the document nobody
-matched.  Serialization of a slice is cached on the region, so ten
-subscribers matching the same element pay for one rendering.
+matched.  Serialization of a slice is cached on the region, so ten members
+matching the same element pay for one rendering — and keys sharing one
+member share its one capture, fanned out at emission.
 
 Payload routing is the broker's choice: with an ``on_payload`` callback the
 bytes stream out as each window closes; without one they are buffered and
@@ -36,10 +37,10 @@ live ``add_subscription`` invalidating touched transitions — rebuilds only
 the automaton's lookup tables and leaves every open capture window, its
 shared region, and its buffered events untouched; the payload delivered at
 window close is byte-identical to an unflushed run.  Live *removals* never
-reach this layer at all: a retired subscription's matches are suppressed at
-emission time by the matcher's dropped sink, so no window is opened for
-them in the first place, and windows already open for surviving
-subscriptions keep their slices.
+reach this layer at all: a retired member's matches are suppressed by the
+matcher's dropped sink, so no window is opened for them in the first place,
+windows already open for surviving members keep their slices, and a removed
+key is skipped when its member's capture is emitted.
 """
 
 from __future__ import annotations
@@ -155,7 +156,7 @@ class _Region:
 
 @dataclass
 class _Capture:
-    """One subscription's open (then closed) window into a shared region.
+    """One member's open (then closed) window into a shared region.
 
     ``entry`` is the :class:`~repro.streaming.matcher._Entry` the match
     buffered in its sink — emission is gated on ``entry.holds()`` when the
@@ -220,7 +221,7 @@ class SubtreeTee:
         self.open_windows = 0
         #: Element windows keyed by matched node id, closed by the matching
         #: EndElement.  A node id maps to the captures of *every*
-        #: subscription that matched that element.
+        #: member that matched that element.
         self._windows_by_node: Dict[int, List[_Capture]] = {}
         #: Root ("/") matches span the whole document; closed by finish().
         self._document_windows: List[_Capture] = []

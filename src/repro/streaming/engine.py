@@ -7,10 +7,10 @@ subscribers, in the tradition of shared-index filtering engines
 (XFilter/YFilter):
 
 * :class:`SubscriptionIndex` compiles every subscription once — parsing and
-  reverse-axis removal are memoized through :mod:`repro.xpath.cache` — and
-  merges their structural spines into one shared lazy automaton
-  (:mod:`repro.streaming.automaton`), maintained incrementally under live
-  churn.
+  reverse-axis removal are memoized through :mod:`repro.xpath.cache` — keys
+  it on its compiled path (one *member* per distinct path, YFilter's shared
+  accept), and merges the members' spines into one shared lazy automaton
+  (:mod:`repro.streaming.automaton`), maintained incrementally under churn.
 * :meth:`SubscriptionIndex.matcher` hands out a
   :class:`~repro.streaming.matcher.MultiMatcher` session that advances all
   subscriptions over one event stream in a single pass.  The automaton
@@ -20,12 +20,11 @@ subscribers, in the tradition of shared-index filtering engines
   automaton cannot carry are gated at the document root.  Absolute
   sub-paths mentioned in qualifiers and joins are matched once, shared
   across *all* subscriptions.  In verdict-only mode the result sinks are
-  existence sinks: the moment a subscription is satisfied, the expectations
+  existence sinks: the moment a member is satisfied, the expectations
   still feeding its sink are unlinked and its gates stop firing.
 * ``backend="expectations"`` is the differential *reference*: no automaton,
-  every subscription's path spawned whole from the document root — N
-  independent single-query matchers in one session, sharing nothing but the
-  event loop.
+  every member's path spawned whole from the document root — independent
+  single-query matchers in one session, sharing nothing but the event loop.
 
 One query is the case N = 1: :func:`repro.streaming.stream_evaluate` runs a
 session over a one-subscription index.
@@ -70,20 +69,26 @@ class SubscriptionIndex:
     One index serves any number of documents: :meth:`matcher` hands out a
     fresh single-pass :class:`MultiMatcher` over the shared automaton.
 
+    **Members.**  Every distinct compiled path is one *member* — one
+    automaton entry, result sink, gate set — carrying the subscriptions
+    (keys) on it in registration order: a thousand subscribers to one path
+    cost the matching work of one, fanned out to their keys at results.
+
     **Live churn.**  A production router cannot recompile the world when
     one user subscribes or unsubscribes, so the shared structures are
     mutated *incrementally* on a running index:
 
-    * :meth:`add_subscription` inserts the new NFA fragments into the
-      shared automaton with a *targeted* DFA invalidation (patching only
-      the materialized states the fragments touch — see
+    * :meth:`add_subscription` joins a live member's key list, or inserts a
+      new member's NFA fragments into the shared automaton with a
+      *targeted* DFA invalidation (patching only the materialized states
+      the fragments touch — see
       :meth:`~repro.streaming.automaton.SubscriptionAutomaton.add_member`);
-    * :meth:`remove_subscription` is ordinal retirement: deliveries for the
-      ordinal are dropped at the sink boundary (live sessions included —
-      the retired set is shared by reference), and the automaton keeps the
-      dead fragments until :meth:`vacuum` compacts them away —
-      automatically once retired ordinals exceed ``vacuum_ratio`` of the
-      index;
+    * :meth:`remove_subscription` drops the key from its member's list;
+      the last key retires the member, whose deliveries are then dropped
+      at the sink boundary (live sessions included — lists and retired
+      sets are shared by reference).  The automaton keeps the dead
+      fragments until :meth:`vacuum` compacts them away — automatically
+      once retired members exceed ``vacuum_ratio`` of the index;
     * running :class:`MultiMatcher` sessions resync between documents
       (:meth:`MultiMatcher.sync`, driven by the :attr:`version` counter):
       adds take effect at the session's next document, removals at once.
@@ -103,15 +108,21 @@ class SubscriptionIndex:
         self._cache = cache if cache is not None else default_cache()
         self._subscriptions: List[Subscription] = []
         self._by_key: Dict[Hashable, Subscription] = {}
+        #: Member ordinal -> the live subscriptions on its compiled path, in
+        #: registration order (empty once retired).  Shared by reference
+        #: with every matcher, like the retired ordinals below.
+        self._members: List[List[Subscription]] = []
+        #: Compiled path -> ordinal of its live member.
+        self._member_of: Dict[PathExpr, int] = {}
         self._dfa_transition_cap = dfa_transition_cap
         #: The lazily compiled shared automaton (see :meth:`matcher`).
         self._automaton: Optional[SubscriptionAutomaton] = None
-        #: Retired ordinals (removed subscriptions awaiting compaction).
-        #: Shared by reference with every matcher this index hands out, so
-        #: removal takes effect on live sessions immediately.
+        #: Ordinals of removed subscriptions, and of the members their last
+        #: key retired, awaiting compaction.
         self._retired: set = set()
-        #: Retired fraction beyond which :meth:`remove_subscription` runs
-        #: the deferred compaction automatically.
+        self._retired_members: set = set()
+        #: Retired member fraction beyond which :meth:`remove_subscription`
+        #: runs the deferred compaction automatically.
         self._vacuum_ratio = float(vacuum_ratio)
         #: Bumped on every add/remove; sessions sync on mismatch.
         self._version = 0
@@ -129,8 +140,9 @@ class SubscriptionIndex:
 
         ``key`` identifies the subscription in results (a subscriber name,
         for instance); it defaults to the first unused integer ordinal.
-        Duplicate keys are rejected; duplicate *queries* are fine and share
-        all matching state.
+        Duplicate keys are rejected; duplicate *queries* (any two that
+        compile to one path) are fine and share all matching state: one
+        member, and a built automaton is left untouched.
         """
         path = self._cache.compile(query, ruleset=self._ruleset)
         for member in iter_union_members(path):
@@ -152,14 +164,26 @@ class SubscriptionIndex:
         source = query if isinstance(query, str) else to_string(query)
         subscription = Subscription(key=key, source=source, path=path,
                                     ordinal=ordinal)
-        self._subscriptions.append(subscription)
-        self._by_key[key] = subscription
         self._version += 1
-        # An automaton not built yet stays lazy; a built one is updated
-        # *incrementally* — live churn never recompiles the world.
-        if self._automaton is not None:
-            self._automaton.add_member(ordinal, path, churn=self.churn)
+        if self._join(subscription) and self._automaton is not None:
+            # An automaton not built yet stays lazy; a built one is updated
+            # *incrementally* — live churn never recompiles the world.
+            self._automaton.add_member(len(self._members) - 1, path,
+                                       churn=self.churn)
         return subscription
+
+    def _join(self, subscription: Subscription) -> bool:
+        """Register ``subscription`` on its path's member (a new one when
+        the path has none live); returns whether the member is new."""
+        self._subscriptions.append(subscription)
+        self._by_key[subscription.key] = subscription
+        # One hash of the path, which is the costly part at N = 10 000.
+        member = self._member_of.setdefault(subscription.path, len(self._members))
+        if member < len(self._members):
+            self._members[member].append(subscription)
+            return False
+        self._members.append([subscription])
+        return True
 
     def add_many(self, subscriptions) -> List[Subscription]:
         """Register a mapping ``{key: query}`` or an iterable of queries."""
@@ -191,52 +215,58 @@ class SubscriptionIndex:
     def remove_subscription(self, key: Hashable) -> Subscription:
         """Live churn: drop one subscription from a running index.
 
-        Removal is *ordinal retirement*: the slot stays (ordinals of the
-        survivors are untouched, so no session rebuild) and every delivery
-        for the ordinal is dropped at the sink boundary — including by live
-        sessions mid-document, which share the retired set by reference.
-        The shared automaton keeps the now-dead NFA fragments; once retired
-        ordinals exceed ``vacuum_ratio`` of the index, :meth:`vacuum`
-        compacts them away automatically.  The key is freed for
-        re-registration immediately (the re-add gets a fresh ordinal).
-        Raises :class:`KeyError` for an unknown key.
+        The key leaves its member's list, which live sessions share by
+        reference: its row is gone from the next results read, mid-document
+        included.  The slot stays (survivor ordinals are untouched, so no
+        session rebuild).  The last key *retires* the member: deliveries
+        for it are dropped at the sink boundary, and the automaton keeps its
+        dead NFA fragments until retired members exceed ``vacuum_ratio`` of
+        the index and :meth:`vacuum` compacts them away.  The key is free
+        for re-registration at once (with a fresh ordinal, and a fresh
+        member if its path's was retired).  Raises :class:`KeyError` for an
+        unknown key.
         """
         try:
             subscription = self._by_key.pop(key)
         except KeyError:
             raise KeyError(f"no subscription with key {key!r}") from None
         self._retired.add(subscription.ordinal)
+        member = self._member_of[subscription.path]
+        self._members[member].remove(subscription)
+        if not self._members[member]:
+            del self._member_of[subscription.path]
+            self._retired_members.add(member)
         self._version += 1
         self.churn.subscriptions_removed += 1
-        if len(self._retired) > self._vacuum_ratio * len(self._subscriptions):
+        if (len(self._retired_members)
+                > self._vacuum_ratio * len(self._members)):
             self.vacuum()
         return subscription
 
     def vacuum(self) -> int:
         """Deferred compaction: rebuild without the retired ordinals.
 
-        Survivor ordinals are remapped to close the gaps and the automaton
-        is dropped for lazy recompilation, so the shared NFA sheds the dead
-        fragments removal left behind.  Runs automatically from
-        :meth:`remove_subscription` past ``vacuum_ratio``; callable
-        explicitly (e.g. in a maintenance window).  Existing sessions are
-        invalidated by the generation bump — the broker builds a fresh one
-        at its next checkout — but keep their own pre-vacuum view (retired
-        set included: it is re-bound here, never cleared in place) for any
-        document in flight.  Returns the number of ordinals reclaimed.
+        Survivor ordinals and members are remapped to close the gaps and
+        the automaton is dropped for lazy recompilation, so the shared NFA
+        sheds the dead fragments retired members left behind.  Runs
+        automatically from :meth:`remove_subscription` past
+        ``vacuum_ratio``; callable explicitly (e.g. in a maintenance
+        window).  Existing sessions are invalidated by the generation bump
+        — the broker builds a fresh one at its next checkout — but keep
+        their own pre-vacuum view (member lists and retired sets included:
+        they are re-bound here, never cleared in place) for any document in
+        flight.  Returns the number of members reclaimed.
         """
         if not self._retired:
             return 0
-        retired = self._retired
-        reclaimed = len(retired)
-        self._subscriptions = [
-            replace(subscription, ordinal=position)
-            for position, subscription in enumerate(
-                subscription for subscription in self._subscriptions
-                if subscription.ordinal not in retired)]
-        self._by_key = {subscription.key: subscription
-                        for subscription in self._subscriptions}
-        self._retired = set()
+        reclaimed = len(self._retired_members)
+        survivors = [subscription for subscription in self._subscriptions
+                     if subscription.ordinal not in self._retired]
+        self._subscriptions, self._by_key = [], {}
+        self._members, self._member_of = [], {}
+        for position, subscription in enumerate(survivors):
+            self._join(replace(subscription, ordinal=position))
+        self._retired, self._retired_members = set(), set()
         self._automaton = None
         self._generation += 1
         self._version += 1
@@ -272,25 +302,28 @@ class SubscriptionIndex:
     def _built_automaton(self) -> SubscriptionAutomaton:
         """The shared lazy automaton (DFA backend).
 
-        Compiled once per subscription set.  The instance — and with it the
-        warmed DFA transition table — is shared by every matcher this index
-        hands out.
+        Compiled once per member set (a member's keys all hold its path).
+        The instance — and with it the warmed DFA transition table — is
+        shared by every matcher this index hands out.
         """
         if self._automaton is None:
-            retired = self._retired
             self._automaton = compile_subscription_automaton(
-                [(subscription.ordinal, subscription.path)
-                 for subscription in self._subscriptions
-                 if subscription.ordinal not in retired],
+                [(member, keys[0].path)
+                 for member, keys in enumerate(self._members) if keys],
                 transition_cap=self._dfa_transition_cap)
         return self._automaton
 
     # -- sharing report ----------------------------------------------------
     def sharing_summary(self) -> dict:
         """Leading-step overlap of the live subscriptions (see
-        ``analysis.prefix_sharing_summary``)."""
-        return analysis.prefix_sharing_summary(
+        ``analysis.prefix_sharing_summary``), plus the live ``members``
+        (distinct compiled paths) and ``max_keys_per_member``."""
+        summary = analysis.prefix_sharing_summary(
             subscription.path for subscription in self.subscriptions)
+        summary["members"] = len(self._member_of)
+        summary["max_keys_per_member"] = max(map(len, self._members),
+                                             default=0)
+        return summary
 
     # -- matching ----------------------------------------------------------
     def matcher(self, backend: Optional[str] = None,

@@ -193,7 +193,7 @@ class _Sink:
 
 
 class _ResultSink(_Sink):
-    """A subscription's result sink: it lists itself in its session's
+    """A member's result sink: it lists itself in its session's
     ``touched`` list on the first delivery of a document (every delivery path
     ends in :meth:`add`), so readout and reset visit those sinks, not all N."""
 
@@ -212,8 +212,8 @@ class _ResultSink(_Sink):
 
 
 #: Shared terminal sink for deliveries that must be dropped on the floor:
-#: retired (unsubscribed) ordinals, and ordinals a live session does not
-#: carry yet because the subscription was added mid-document (live churn —
+#: retired members (their last key unsubscribed), and members a live session
+#: does not carry yet because they were added mid-document (live churn —
 #: see :meth:`MultiMatcher.sync`).  Permanently
 #: satisfied and exists-only, so ``add_candidate`` rejects every entry in
 #: O(1), qualifier gates skip it, no capture claim can attach (no ordinal).
@@ -542,9 +542,10 @@ class Subscription:
     key: Hashable
     #: The subscription as given (query text, or serialized AST).
     source: str
-    #: The compiled, reverse-axis-free path the engine matches.
+    #: The compiled, reverse-axis-free path: the key of the index *member*
+    #: the engine matches for every subscription on it.
     path: PathExpr
-    #: Position in the index (the engine's internal identifier).
+    #: Position in the index, in registration order (result rows follow it).
     ordinal: int
 
 
@@ -705,21 +706,25 @@ class MultiMatcher:
         self._emitted_captures: set = set()
         self._finished = False
         self._halted = False
-        #: Live churn (see :meth:`sync`): the index this session serves, the
-        #: retired-ordinal set shared with it *by reference* (removals take
-        #: effect immediately, mid-document included), and the version /
-        #: generation snapshot the session was last synced to.
+        #: Live churn (see :meth:`sync`): the index, its member key lists (an
+        #: empty one is a retired member) and retired ordinals shared *by
+        #: reference*, and the version / generation last synced to.  Stay
+        #: under 30 instance attributes: at 30 CPython stops sharing instance
+        #: dict keys, and every ``self.`` lookup here slows (~10%).
         self._index = index
+        self._members: List[List[Subscription]] = index._members
         self._retired: set = index._retired
         self._synced_version: Optional[int] = None
         self._generation = index.generation
+        #: The keys carried: those registered since the last sync are past
+        #: its end (higher ordinals) and not reported yet.
         self._subscriptions: Tuple[Subscription, ...] = ()
-        #: One result sink per carried ordinal, and the ones this document
+        #: One result sink per carried member, and the ones this document
         #: delivered into (each lists itself): all :meth:`results` reads and
         #: :meth:`reset` clears.
         self._sinks: List[_ResultSink] = []
         self._touched: List[_ResultSink] = []
-        #: Verdict mode: ordinals whose verdict is decided.
+        #: Verdict mode: members whose verdict is decided.
         self._satisfied: set = set()
         self.sync()     # carries every subscription the index has now
 
@@ -728,13 +733,13 @@ class MultiMatcher:
         """Which structural dispatch engine this matcher runs on."""
         return "dfa" if self._automaton_run is not None else "expectations"
 
-    def _structural_sink(self, ordinal: int) -> _Sink:
-        # Live churn: the shared automaton may fire for ordinals this
-        # session retired (removals take effect immediately) or does not
-        # carry yet (adds take effect at the next document, after sync).
-        if ordinal in self._retired or ordinal >= len(self._sinks):
+    def _structural_sink(self, member: int) -> _Sink:
+        # Live churn: the shared automaton may fire for members retired
+        # (removals take effect immediately) or not carried yet (adds take
+        # effect at the next document, after sync).
+        if member >= len(self._sinks) or not self._members[member]:
             return _DROPPED_SINK
-        return self._sinks[ordinal]
+        return self._sinks[member]
 
     def dfa_state_count(self) -> int:
         """DFA states materialized in the shared automaton (0 for the
@@ -749,23 +754,25 @@ class MultiMatcher:
 
         The churn counterpart of :meth:`reset`, called *between* documents
         (the broker's checkout does it whenever the index version moved):
-        appends sinks and per-subscription registries for every ordinal
-        added since the last sync.  Removals need no per-matcher work — the
-        retired set is shared by reference and consulted at delivery time.
-        A vacuumed index (generation bump) cannot be synced to: ordinals
-        were remapped, build a fresh matcher.
+        carries every key added since the last sync, and appends sinks and
+        per-member registries for every new member among them.  Removals
+        need no per-matcher work — member lists and retired ordinals are
+        shared by reference and consulted at delivery time.  A vacuumed index
+        (generation bump) cannot be synced to: ordinals were remapped, build
+        a fresh matcher.
         """
         index = self._index
         self._check_generation()
         if index.version == self._synced_version:
             return
-        subscriptions = index._subscriptions
+        members = self._members
         sinks = self._sinks
         matches_only = self._delivery.matches_only
-        for ordinal in range(len(sinks), len(subscriptions)):
-            sinks.append(_ResultSink(ordinal, self._touched, matches_only))
-            self._register_absolute_subpaths(subscriptions[ordinal].path)
-        self._subscriptions = tuple(subscriptions)
+        for member in range(len(sinks), len(members)):
+            sinks.append(_ResultSink(member, self._touched, matches_only))
+            if members[member]:     # retired before this session saw it
+                self._register_absolute_subpaths(members[member][0].path)
+        self._subscriptions = tuple(index._subscriptions)
         if matches_only:
             self._seed_retired_verdicts()
         self._synced_version = index.version
@@ -777,11 +784,12 @@ class MultiMatcher:
                 "build a fresh matcher")
 
     def _seed_retired_verdicts(self) -> None:
-        """Count retired ordinals as settled so early termination still
-        fires: their sinks can never satisfy (every delivery is dropped)."""
+        """Count retired members as settled so early termination still
+        fires: their sinks can never satisfy (every delivery is dropped).
+        Callers checked the generation, so the index's set is this view's."""
         self._satisfied.update(
-            ordinal for ordinal in self._retired
-            if ordinal < len(self._subscriptions))
+            member for member in self._index._retired_members
+            if member < len(self._sinks))
 
     def _register_absolute_subpaths(self, expr: PathExpr) -> None:
         """Find absolute sub-paths used inside qualifiers and joins.
@@ -902,9 +910,9 @@ class MultiMatcher:
         else:  # pragma: no cover - defensive
             raise StreamingError(f"unknown event {event!r}")
         if (self._delivery.matches_only and not self._finished
-                and len(self._satisfied) == len(self._subscriptions)):
-            # Early termination: every verdict is decided, so no later
-            # event can change one.
+                and len(self._satisfied) == len(self._sinks)):
+            # Early termination: every member's verdict is decided, so no
+            # later event can change one.
             self.halt()
 
     # -- internals ---------------------------------------------------------
@@ -916,12 +924,10 @@ class MultiMatcher:
             # cannot carry) fire here.
             self._automaton_run.on_document_start(self, event.node_id)
         else:
-            # Reference mode: every live subscription spawned whole.
-            retired = self._retired
-            for subscription, sink in zip(self._subscriptions, self._sinks):
-                if subscription.ordinal not in retired:
-                    self.spawn_root_expr(subscription.path, sink,
-                                         event.node_id)
+            # Reference mode: every live member spawned whole.
+            for keys, sink in zip(self._members, self._sinks):
+                if keys:
+                    self.spawn_root_expr(keys[0].path, sink, event.node_id)
         # Spawn the shared absolute sub-paths.
         for (operand, _), sink in self._absolute_sinks.items():
             self.spawn_root_expr(operand, sink, event.node_id)
@@ -1093,13 +1099,13 @@ class MultiMatcher:
 
     def _sink_satisfied(self, sink: _Sink) -> None:
         """``sink`` just flipped to satisfied: unlink everything feeding it
-        and, in verdict mode, count its subscription's verdict as decided."""
+        and, in verdict mode, count its member's verdict as decided."""
         table = self._sink_watchers.pop(sink, None)
         if table:
             for expectation in list(table.values()):
                 self._expire(expectation)
         if (self._delivery.matches_only and sink.ordinal is not None
-                and sink.ordinal not in self._retired):
+                and self._members[sink.ordinal]):
             self._satisfied.add(sink.ordinal)
 
     def live_expectations(self) -> List[_Expectation]:
@@ -1436,23 +1442,27 @@ class MultiMatcher:
                 self._emit_capture(capture)
 
     def _emit_capture(self, capture) -> None:
-        """Route one decided capture's payload bytes to its subscriber."""
-        if capture.ordinal in self._retired:
-            # Unsubscribed while the capture window was open (or before the
-            # deferred-capture drain): the payload is no longer owed.
+        """Route one decided capture's payload bytes, rendered once, to
+        every carried key of its member (``capture.ordinal``) that is still
+        subscribed; the stats count what was delivered, per key."""
+        if not self._members[capture.ordinal]:
             return
         dedup = (capture.ordinal, capture.node_id)
         if dedup in self._emitted_captures:
             return
         self._emitted_captures.add(dedup)
         data = capture.render()
-        self.stats.subtrees_emitted += 1
-        self.stats.bytes_emitted += len(data)
         on_payload = self._delivery.on_payload
-        if on_payload is not None:
-            on_payload(self._subscriptions[capture.ordinal].key,
-                       capture.node_id, data)
-        else:
+        carried, retired = len(self._subscriptions), self._retired
+        # A snapshot: a callback may unsubscribe keys of this very member.
+        for subscription in tuple(self._members[capture.ordinal]):
+            if subscription.ordinal >= carried or subscription.ordinal in retired:
+                continue
+            self.stats.subtrees_emitted += 1
+            self.stats.bytes_emitted += len(data)
+            if on_payload is not None:
+                on_payload(subscription.key, capture.node_id, data)
+        if on_payload is None:
             self._payloads.setdefault(capture.ordinal, {})[
                 capture.node_id] = data
 
@@ -1532,7 +1542,8 @@ class MultiMatcher:
     # -- results -----------------------------------------------------------
     def results(self) -> MultiMatchResult:
         """Per-subscription verdicts (requires the stream to be finished), read
-        off the touched sinks only, one row per match: O(matches), not O(N)."""
+        off the touched sinks only: O(matches), not O(N).  A member's answer
+        is computed once and fanned out to its carried keys, one row each."""
         if not self._finished:
             raise StreamingError("results() called before the end of the stream")
         delivery = self._delivery
@@ -1544,10 +1555,13 @@ class MultiMatcher:
                          and delivery.on_payload is None else None)
         # Unsubscribed (possibly mid-document): no longer reported.
         retired = frozenset(self._retired)
+        carried = len(self._subscriptions)
         matched: Dict[int, SubscriptionResult] = {}
+        last = -1   # the last row's ordinal; ``carried`` once out of order
         total = 0
         for sink in sorted(self._touched, key=lambda sink: sink.ordinal):
-            if sink.ordinal in retired:
+            keys = self._members[sink.ordinal]
+            if not keys:
                 continue
             node_ids = sorted({entry.node_id for entry in sink.entries
                                if entry.holds()})
@@ -1559,12 +1573,21 @@ class MultiMatcher:
                 # so none are reported.
                 node_ids = []
             chunks = self._payloads.get(sink.ordinal)
-            subscription = self._subscriptions[sink.ordinal]
-            matched[sink.ordinal] = SubscriptionResult(
-                subscription.key, subscription.source, True, node_ids,
-                b"".join(chunks[node_id] for node_id in sorted(chunks))
-                if chunks else empty_payload)
-            total += len(node_ids)
+            payload = (b"".join(chunks[node_id] for node_id in sorted(chunks))
+                       if chunks else empty_payload)
+            for subscription in keys:
+                ordinal = subscription.ordinal
+                if ordinal < carried:
+                    matched[ordinal] = SubscriptionResult(
+                        subscription.key, subscription.source, True,
+                        list(node_ids) if len(keys) > 1 else node_ids,
+                        payload)
+                    total += len(node_ids)
+                    last = ordinal if ordinal > last else carried
         self.stats.results = total
+        if last == carried:
+            # Members are ordered by their first key, so keys sharing one
+            # (or a member whose first key left) interleave with others.
+            matched = dict(sorted(matched.items()))
         return MultiMatchResult(matched, self._subscriptions, retired,
                                 empty_payload, self.stats)

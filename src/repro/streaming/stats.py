@@ -118,7 +118,7 @@ class ChurnStats:
     #: ``TARGETED_FLUSH_RATIO`` in :mod:`repro.streaming.automaton`).
     full_flushes: int = 0
     #: Deferred compactions: the index rebuilt its structures to reclaim
-    #: retired ordinals once they exceeded the ``vacuum_ratio``.
+    #: retired members once they exceeded the ``vacuum_ratio``.
     vacuum_runs: int = 0
 
     def as_row(self) -> dict:

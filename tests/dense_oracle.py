@@ -1,8 +1,8 @@
 """The dense readout ``MultiMatcher.results()`` had before it went sparse,
 kept as the reference the sparse :class:`MultiMatchResult` is compared with.
 
-It walks *every* subscription and its sink — one row per live subscription,
-matched or not — straight off the finished session, so it knows nothing of
+It walks *every* subscription and its member's sink — one row per live
+subscription, matched or not — straight off the finished session, so it knows nothing of
 the touched-sink list.  Call it after ``results()`` (which settles deferred
 captures) and before the session is reset or the index churned again.
 """
@@ -27,10 +27,15 @@ DELIVERIES = (VerdictDelivery, NodeIdDelivery, SubstreamDelivery,
 def dense_readout(matcher: MultiMatcher) -> List[SubscriptionResult]:
     delivery = matcher._delivery
     buffered_payloads = delivery.captures and delivery.on_payload is None
+    member_of = {subscription.ordinal: member
+                 for member, keys in enumerate(matcher._members)
+                 for subscription in keys}
     rows = []
-    for subscription, sink in zip(matcher._subscriptions, matcher._sinks):
+    for subscription in matcher._subscriptions:
         if subscription.ordinal in matcher._retired:
             continue
+        member = member_of[subscription.ordinal]
+        sink = matcher._sinks[member]
         if delivery.matches_only:
             node_ids = []
             matched = sink.nonempty()
@@ -40,7 +45,7 @@ def dense_readout(matcher: MultiMatcher) -> List[SubscriptionResult]:
             matched = bool(node_ids)
         payload = None
         if buffered_payloads:
-            chunks = matcher._payloads.get(subscription.ordinal)
+            chunks = matcher._payloads.get(member)
             payload = (b"".join(chunks[node_id] for node_id in sorted(chunks))
                        if chunks else b"")
         rows.append(SubscriptionResult(key=subscription.key,

@@ -6,7 +6,9 @@ one long-lived :class:`SubscriptionIndex`, the final evaluation must equal
 a *fresh-compiled* index over the surviving subscription set — three-way,
 on both streaming backends and against the DOM reference.  Churn (shared
 automaton mutation, targeted DFA invalidation, ordinal retirement, deferred
-vacuum) is a pure optimization: it may never change an answer.
+vacuum) is a pure optimization: it may never change an answer.  Keys
+outnumber the pool's queries, so key sets repeat queries: keys on one
+compiled path share one member, and churn on them is per key.
 """
 
 from hypothesis import HealthCheck, given, settings
@@ -28,21 +30,25 @@ SETTINGS = dict(deadline=None,
                 suppress_health_check=[HealthCheck.too_slow,
                                        HealthCheck.filter_too_much])
 
-#: One churn script: which pool queries start registered, then a sequence
-#: of (op, pool position) steps over a pool of candidate queries.
+#: One churn script: which keys start registered, then a sequence of
+#: (op, key) steps.  Key ``k`` subscribes to ``pool[k % len(pool)]``: with
+#: fewer queries than keys, several keys share one query.
 churn_scripts = st.lists(
     st.tuples(st.sampled_from(["add", "remove", "evaluate"]),
               st.integers(min_value=0, max_value=7)),
     min_size=1, max_size=12)
 
 
+def _query(pool, key):
+    return pool[key % len(pool)]
+
+
 def _apply_script(index, script, pool, events):
-    """Drive one churn script; keys are the pool positions."""
-    for op, position in script:
-        key = position % len(pool)
+    """Drive one churn script."""
+    for op, key in script:
         if op == "add":
             if key not in {s.key for s in index.subscriptions}:
-                index.add_subscription(key, pool[key])
+                index.add_subscription(key, _query(pool, key))
         elif op == "remove":
             try:
                 index.remove_subscription(key)
@@ -63,10 +69,10 @@ def test_churned_index_equals_fresh_index_over_survivors(
         document, pool, initial, script):
     events = list(document_events(document))
     index = SubscriptionIndex(
-        {key: pool[key] for key in range(initial % (len(pool) + 1))})
+        {key: _query(pool, key) for key in range(initial)})
     _apply_script(index, script, pool, events)
 
-    survivors = {s.key: pool[s.key] for s in index.subscriptions}
+    survivors = {s.key: _query(pool, s.key) for s in index.subscriptions}
     fresh = SubscriptionIndex(survivors)
     for backend in ("dfa", "expectations"):
         churned_result = evaluate_checked(index, events, backend=backend)
@@ -93,11 +99,10 @@ def test_broker_churn_equals_fresh_broker(document, pool, script):
     xml = to_xml(document, indent=0)
     broker = DocumentBroker({0: pool[0]})
     broker.submit("warmup", xml)
-    for op, position in script:
-        key = position % len(pool)
+    for op, key in script:
         if op == "add":
             if key not in {s.key for s in broker.subscriptions}:
-                broker.subscribe(key, pool[key])
+                broker.subscribe(key, _query(pool, key))
         elif op == "remove":
             try:
                 broker.unsubscribe(key)
@@ -107,7 +112,7 @@ def test_broker_churn_equals_fresh_broker(document, pool, script):
             interleaved = broker.submit("interleaved", xml)
             assert_sparse_equals_dense(broker.session, interleaved)
 
-    survivors = {s.key: pool[s.key] for s in broker.subscriptions}
+    survivors = {s.key: _query(pool, s.key) for s in broker.subscriptions}
     churned = broker.submit("final", xml)
     assert_sparse_equals_dense(broker.session, churned)
     fresh = DocumentBroker(survivors).submit("final", xml)

@@ -1,5 +1,7 @@
 """Unit tests of the multi-subscription engine (SubscriptionIndex/MultiMatcher)."""
 
+import dataclasses
+
 import pytest
 
 from repro.datasets import figure1_document
@@ -52,12 +54,21 @@ class TestSubscriptionIndex:
         assert result["pricing"].node_ids == independent.node_ids
 
     def test_duplicate_queries_share_all_state(self, events, backend):
+        query = "/descendant::journal/descendant::name[child::text()]"
         index = SubscriptionIndex()
         for subscriber in ("alice", "bob", "carol"):
-            index.add("/descendant::journal/descendant::name", key=subscriber)
+            index.add(query, key=subscriber)
         result = index.evaluate(events, backend=backend)
         assert (result["alice"].node_ids == result["bob"].node_ids
                 == result["carol"].node_ids != [])
+        assert result["alice"].node_ids is not result["bob"].node_ids
+        # One member does the matching work of one subscription; only the
+        # delivered rows (``results``) count per key.
+        single = SubscriptionIndex([query]).evaluate(events, backend=backend)
+        work, reference = (dataclasses.asdict(answer.stats)
+                           for answer in (result, single))
+        assert work.pop("results") == 3 * reference.pop("results")
+        assert work == reference
 
     def test_matches_only_verdicts(self, events, backend):
         queries = dict(OVERLAPPING, missing="/descendant::nosuchtag")

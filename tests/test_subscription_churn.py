@@ -20,7 +20,9 @@ from repro.errors import StreamingError
 from repro.streaming import (
     DocumentBroker,
     SubscriptionIndex,
+    SubstreamDelivery,
     VerdictDelivery,
+    dom_evaluate,
 )
 from repro.xmlmodel.parser import iter_events
 
@@ -236,3 +238,171 @@ class TestBrokerSessionAmortization:
         assert broker.session is session  # retirement needs no rebuild
         assert "s0" not in result.by_key
         assert result["s1"].matched
+
+
+#: Keys on one compiled path share one member; churn is per key.
+SHARED = "/descendant::t[child::u]"
+SHARED_XML = "<root><t><u/></t><v/><t>x</t><t>y<u/></t></root>"
+
+
+def _assert_clean(matcher):
+    assert set(matcher.registry_sizes().values()) == {0}
+
+
+class TestSharedMembers:
+    def _session(self, backend, keys, **kwargs):
+        index = SubscriptionIndex({key: SHARED for key in keys},
+                                  vacuum_ratio=1.0, **kwargs)
+        return index, index.matcher(backend=backend)
+
+    def _answer(self):
+        return dom_evaluate(SHARED, list(iter_events(SHARED_XML))).node_ids
+
+    def test_unsubscribe_one_of_two_keys_mid_document(self, backend):
+        events = list(iter_events(SHARED_XML))
+        index, matcher = self._session(backend, ("a", "b"))
+        for event in events[:4]:
+            matcher.feed(event)
+        index.remove_subscription("a")
+        for event in events[4:]:
+            matcher.feed(event)
+        result = matcher.results()
+        _assert_clean(matcher)
+        assert "a" not in result.by_key and result.matching_keys == ["b"]
+        assert result["b"].node_ids == self._answer() != []
+        assert index.sharing_summary()["members"] == 1
+        matcher.sync()
+        matcher.reset()
+        assert matcher.process(events)["b"].node_ids == self._answer()
+        _assert_clean(matcher)
+
+    def test_key_joining_a_member_mid_document(self, backend):
+        events = list(iter_events(SHARED_XML))
+        index, matcher = self._session(backend, ("a",))
+        automaton = index._automaton
+        for event in events[:4]:
+            matcher.feed(event)
+        index.add_subscription("b", SHARED)
+        for event in events[4:]:
+            matcher.feed(event)
+        result = matcher.results()
+        _assert_clean(matcher)
+        assert result.matching_keys == ["a"] and "b" not in result.by_key
+        # Joining a live member needs no automaton update.
+        assert index._automaton is automaton
+        assert index.churn.targeted_flushes == index.churn.full_flushes == 0
+        matcher.sync()
+        matcher.reset()
+        follow_up = matcher.process(events)
+        _assert_clean(matcher)
+        assert follow_up.matching_keys == ["a", "b"]
+        assert follow_up["b"].node_ids == follow_up["a"].node_ids \
+            == self._answer()
+
+    def test_last_key_retires_the_member_then_vacuum_reclaims_it(self,
+                                                                 backend):
+        events = list(iter_events(SHARED_XML))
+        index = SubscriptionIndex({"a": SHARED, "b": SHARED, "c": "//v"},
+                                  vacuum_ratio=1.0)
+        matcher = index.matcher(backend=backend)
+        matcher.process(events)
+        _assert_clean(matcher)
+        index.remove_subscription("a")
+        assert index._retired_members == set()
+        index.remove_subscription("b")
+        assert index._retired_members == {0}
+        assert index.sharing_summary()["members"] == 1
+        matcher.sync()
+        matcher.reset()
+        assert matcher.process(events).matching_keys == ["c"]
+        _assert_clean(matcher)
+        assert index.vacuum() == 1
+        assert len(index._members) == 1 and not index._retired_members
+        assert [s.ordinal for s in index.subscriptions] == [0]
+        fresh = index.matcher(backend=backend)
+        assert fresh.process(events).matching_keys == ["c"]
+        _assert_clean(fresh)
+
+    def test_resubscribe_the_same_query_after_a_vacuum(self, backend):
+        events = list(iter_events(SHARED_XML))
+        index = SubscriptionIndex({"a": SHARED, "b": SHARED, "c": "//v"},
+                                  vacuum_ratio=1.0)
+        index.evaluate(events, backend=backend)
+        index.remove_subscription("a")
+        index.remove_subscription("b")
+        index.vacuum()
+        index.add_subscription("a", SHARED)
+        index.add_subscription("d", SHARED)
+        assert index.sharing_summary()["members"] == 2
+        matcher = index.matcher(backend=backend)
+        result = matcher.process(events)
+        _assert_clean(matcher)
+        assert result.matching_keys == ["c", "a", "d"]
+        assert result["a"].node_ids == result["d"].node_ids \
+            == self._answer()
+
+
+class TestPerKeySubstreamDelivery:
+    """One member's captures render once and reach every key."""
+
+    XML = "<r><x><y>1</y><x>2</x></x><y>3</y><x/></r>"
+    QUERIES = {"a": "/descendant::x", "inner": "/descendant::x/child::y",
+               "b": "/descendant::x"}
+
+    def test_on_payload_once_per_key_with_identical_bytes(self, backend):
+        events = list(iter_events(self.XML))
+        calls = []
+        shared = SubscriptionIndex(self.QUERIES).evaluate(
+            events, backend=backend,
+            delivery=SubstreamDelivery(
+                on_payload=lambda *call: calls.append(call)))
+        by_key = {key: [(node, data) for k, node, data in calls if k == key]
+                  for key in self.QUERIES}
+        assert by_key["a"] == by_key["b"]
+        # Nested captures stream out as their windows close, inner first.
+        assert [data for _, data in by_key["a"]] == [
+            b"<x>2</x>", b"<x><y>1</y><x>2</x></x>", b"<x />"]
+        buffered = SubscriptionIndex(self.QUERIES).evaluate(
+            events, backend=backend, delivery=SubstreamDelivery())
+        assert buffered["a"].payload == buffered["b"].payload \
+            == b"".join(data for _, data in sorted(by_key["a"]))
+        assert buffered["inner"].payload == b"<y>1</y>"
+        # Delivered per key; matched once per member.
+        distinct = SubscriptionIndex({"a": self.QUERIES["a"],
+                                      "inner": self.QUERIES["inner"]}
+                                     ).evaluate(events, backend=backend,
+                                                delivery=SubstreamDelivery())
+        for stats in (shared.stats, buffered.stats):
+            assert stats.subtrees_emitted == len(calls) == 7
+            assert stats.bytes_emitted == sum(len(c[2]) for c in calls)
+            assert stats.results == 2 * 3 + 1
+            for name in ("expectations_created", "conditions_created",
+                         "candidates_buffered"):
+                assert getattr(stats, name) == getattr(distinct.stats, name)
+
+    def test_callback_unsubscribing_its_own_key(self, backend):
+        """A key dropped by its own callback mid-fan-out costs the other
+        keys of the member nothing."""
+        events = list(iter_events(self.XML))
+        index = SubscriptionIndex(self.QUERIES)
+        calls = []
+
+        def on_payload(key, node_id, data):
+            calls.append(key)
+            if key == "a":
+                index.remove_subscription("a")
+
+        result = index.evaluate(events, backend=backend,
+                                delivery=SubstreamDelivery(on_payload=on_payload))
+        assert calls.count("a") == 1 and calls.count("b") == 3
+        assert result.matching_keys == ["inner", "b"]
+
+
+def test_sharing_summary_counts_members():
+    index = SubscriptionIndex({"a": "//t", "b": "//t", "c": "/descendant::t",
+                               "d": "//v"})
+    summary = index.sharing_summary()
+    assert summary["paths"] == 4
+    # "//t" and "/descendant::t" compile to different paths: two members.
+    assert (summary["members"], summary["max_keys_per_member"]) == (3, 2)
+    assert SubscriptionIndex().sharing_summary()["members"] == 0
