@@ -34,12 +34,17 @@ Beyond the paper's fragment, the engine evaluates the attribute axis
 (``//item[@id="42"]/price``, ``//item/@id``, value comparisons against
 string literals) — the shapes that dominate real SDI subscription sets.
 Attributes are the cheapest possible match for a streaming engine: they
-arrive *complete* on the StartElement event, so attribute steps and
-``[@a]`` / ``[@a = "v"]`` qualifiers are decided during that very event
-(dedicated attribute buckets in the dispatch index; a per-element sweep
-resolves and then expires them), need no buffering, and in verdict-only
-sessions can settle a subscription — and halt the stream — at the element
-that carries the attribute.  Attribute *nodes* are numbered right after
+arrive *complete* on the StartElement event.  Attribute-only qualifiers —
+``[@a]``, ``[@*]``, ``[@a = "v"]`` and ``and`` / ``or`` of them — are
+split off each step once at compile time and decided straight from the
+start tag's attribute tuple the moment the step matches, so a false one
+builds nothing at all; the DFA keys gates with an ``@a = "v"`` conjunct by
+``(a, v)`` and opens only those whose pair is on the tag.  Attribute steps
+(``//item/@id``) and attributes inside mixed qualifiers go through
+dedicated attribute buckets that a per-element sweep resolves and then
+expires within the same event.  Either way nothing is buffered, and in
+verdict-only sessions a subscription can settle — and halt the stream — at
+the element that carries the attribute.  Attribute *nodes* are numbered right after
 their owner element in document order, so streamed ids agree 1:1 with the
 DOM evaluator's positions.
 

@@ -71,8 +71,8 @@ subscribing never recompiles the world.
 from __future__ import annotations
 
 import os
-from dataclasses import dataclass
-from typing import Dict, FrozenSet, List, Optional, Sequence, Tuple
+from dataclasses import dataclass, field
+from typing import Dict, FrozenSet, Iterable, List, Optional, Sequence, Tuple
 
 from repro.errors import StreamingError
 from repro.xpath import analysis
@@ -147,11 +147,25 @@ class _Gate:
     exists; a gate with no qualifiers hands over at an unsupported axis, one
     with no remaining steps re-checks only the final step's qualifiers, and
     one on NFA state 0 carrying a whole member hands over at the root.
+    ``split`` is ``qualifiers`` split once into the attribute predicate the
+    engine decides from the start tag and the rest (see
+    :func:`repro.xpath.analysis.split_attribute_qualifiers`).
     """
 
     ordinal: int
     qualifiers: Tuple[Qualifier, ...]
     remaining: Tuple[Step, ...]
+    split: tuple = field(init=False, compare=False, repr=False)
+
+    def __post_init__(self):
+        object.__setattr__(self, "split", analysis.split_attribute_qualifiers(
+            self.qualifiers))
+
+    @property
+    def index_key(self) -> Optional[Tuple[str, str]]:
+        """The ``(a, lit)`` pair a DFA state keys this gate by, if any."""
+        predicate = self.split[0]
+        return predicate.index_key if predicate is not None else None
 
 
 # ---------------------------------------------------------------------------
@@ -163,7 +177,8 @@ class _NfaState:
     plus the sibling windows its close event arms."""
 
     __slots__ = ("elem_by_tag", "elem_any", "text", "attr_by_name",
-                 "attr_any", "arm_sib", "arm_fol", "deliver", "gates")
+                 "attr_any", "arm_sib", "arm_fol", "deliver", "gates",
+                 "value_gates")
 
     def __init__(self):
         self.elem_by_tag: Dict[str, List[int]] = {}
@@ -179,8 +194,10 @@ class _NfaState:
         self.arm_fol: List[int] = []
         #: Ordinals of structurally decided members accepting here.
         self.deliver: List[int] = []
-        #: Gates firing here (qualifier hand-offs to the expectation engine).
+        #: Gates firing here (qualifier hand-offs to the expectation engine),
+        #: those with an ``index_key`` apart: DFA states key them by value.
         self.gates: List[_Gate] = []
+        self.value_gates: List[_Gate] = []
 
 
 class _NfaBuilder:
@@ -200,9 +217,10 @@ class _NfaBuilder:
         #: appear in any previously materialized DFA set, so the
         #: intersection ignores them naturally.
         self.touched: set = set()
-        #: Whether any attribute edge exists yet — set where the rule is
-        #: created, never cleared (fragments only grow).
+        #: Whether any attribute edge / value-indexed gate exists yet — set
+        #: where the rule is created, never cleared (fragments only grow).
         self.has_attribute_rules = False
+        self.has_value_gates = False
 
     def _new(self) -> int:
         self.states.append(_NfaState())
@@ -292,16 +310,13 @@ class _NfaBuilder:
         return current
 
 
-def _compile_path(builder: _NfaBuilder, ordinal: int,
-                  path: PathExpr) -> None:
-    """Compile one subscription's union members into the shared builder.
+def _member_plans(path: PathExpr):
+    """``(alternatives, gate qualifiers or None, remaining steps)`` of each
+    union member of ``path``, as the automaton compiles it.
 
     A member the automaton cannot carry (alternative explosion) gets a root
     gate: NFA state 0 hands the whole member to the expectation engine at
-    document start.  Shared by the bulk compilation below and the live
-    :meth:`SubscriptionAutomaton.add_member` — the ``(state, item)`` chain
-    memoization makes re-inserting an already-known member a structural
-    no-op either way.
+    document start.
     """
     for member in iter_union_members(path):
         if isinstance(member, Bottom):
@@ -316,9 +331,32 @@ def _compile_path(builder: _NfaBuilder, ordinal: int,
                         else analysis.automaton_spine_alternatives(split[0]))
         if alternatives is None:
             # Root gate: the empty chain ends on state 0.
-            alternatives, gate_qualifiers, remaining = [()], (), member.steps
+            yield [()], (), member.steps
         else:
-            _prefix, gate_qualifiers, remaining = split
+            yield alternatives, split[1], split[2]
+
+
+def value_indexed_gates(paths: Iterable[PathExpr]) -> int:
+    """How many gates of these member paths a DFA state keys by value."""
+    count = 0
+    for path in paths:
+        gates = {_Gate(0, tuple(qualifiers), tuple(remaining))
+                 for alternatives, qualifiers, remaining in _member_plans(path)
+                 if alternatives and qualifiers}
+        count += sum(gate.index_key is not None for gate in gates)
+    return count
+
+
+def _compile_path(builder: _NfaBuilder, ordinal: int,
+                  path: PathExpr) -> None:
+    """Compile one subscription's union members into the shared builder.
+
+    Shared by the bulk compilation below and the live
+    :meth:`SubscriptionAutomaton.add_member` — the ``(state, item)`` chain
+    memoization makes re-inserting an already-known member a structural
+    no-op either way.
+    """
+    for alternatives, gate_qualifiers, remaining in _member_plans(path):
         for items in alternatives:
             end_index = builder.chain(items)
             end = builder.states[end_index]
@@ -329,8 +367,12 @@ def _compile_path(builder: _NfaBuilder, ordinal: int,
             else:
                 gate = _Gate(ordinal, tuple(gate_qualifiers),
                              tuple(remaining))
-                if gate not in end.gates:
-                    end.gates.append(gate)
+                gates = end.gates
+                if gate.index_key is not None:
+                    gates = end.value_gates
+                    builder.has_value_gates = True
+                if gate not in gates:
+                    gates.append(gate)
                     builder.touched.add(end_index)
 
 
@@ -358,14 +400,18 @@ class _DfaState:
     runs still holding it.  The dead state is the one with an empty ``nfa``.
     """
 
-    __slots__ = ("nfa", "deliver", "gates", "arm_sib", "arm_fol", "elem",
-                 "attr", "text")
+    __slots__ = ("nfa", "deliver", "gates", "by_value", "fires", "arm_sib",
+                 "arm_fol", "elem", "attr", "text")
 
     def __init__(self, nfa: FrozenSet[int], accept_info):
         self.nfa = nfa
-        #: Deliver ordinals and gates (merged, deduped), and the windows
-        #: armed when a node in this state closes.
-        self.deliver, self.gates, self.arm_sib, self.arm_fol = accept_info
+        #: Deliver ordinals and gates (merged, deduped) — the gates with an
+        #: ``@a = "lit"`` conjunct keyed by ``(a, lit)`` in ``by_value``
+        #: (``None`` if there are none), the rest in ``gates`` — whether a
+        #: node here delivers or opens anything, and the windows armed when
+        #: such a node closes.
+        (self.deliver, self.gates, self.by_value, self.fires, self.arm_sib,
+         self.arm_fol) = accept_info
         #: Cached successors: by element tag, by attribute name, on text.
         self.elem: Dict[str, "_DfaState"] = {}
         self.attr: Dict[str, "_DfaState"] = {}
@@ -464,8 +510,8 @@ class SubscriptionAutomaton:
             self._forget()
             return
         for state in affected:
-            (state.deliver, state.gates, state.arm_sib,
-             state.arm_fol) = self._accept_info(state.nfa)
+            (state.deliver, state.gates, state.by_value, state.fires,
+             state.arm_sib, state.arm_fol) = self._accept_info(state.nfa)
             self._cached -= state.forget_transitions()
         self._counts["targeted_invalidations"] += 1
         if churn is not None:
@@ -473,15 +519,24 @@ class SubscriptionAutomaton:
 
     # -- state interning ---------------------------------------------------
     def _accept_info(self, key: FrozenSet[int]):
-        """``(deliver, gates, arm_sib, arm_fol)`` of an NFA-state set,
-        merged and deduped in deterministic order.  Computed when a DFA
-        state is interned, and recomputed in place by a targeted
-        invalidation when an incremental insertion changed a member state's
-        rules."""
+        """``(deliver, gates, by_value, fires, arm_sib, arm_fol)`` of an
+        NFA-state set, merged and deduped in deterministic order (see
+        :class:`_DfaState`).  Computed when a DFA state is interned, and
+        recomputed in place by a targeted invalidation when an incremental
+        insertion changed a member state's rules."""
         members = [self._nfa[q] for q in sorted(key)]
+        deliver = tuple(dict.fromkeys(o for m in members for o in m.deliver))
+        gates = tuple(dict.fromkeys(g for m in members for g in m.gates))
+        by_value = None
+        if self._builder.has_value_gates:
+            by_value = {}
+            for gate in dict.fromkeys(g for m in members
+                                      for g in m.value_gates):
+                pair = gate.index_key
+                by_value[pair] = by_value.get(pair, ()) + (gate,)
+            by_value = by_value or None
         return (
-            tuple(dict.fromkeys(o for m in members for o in m.deliver)),
-            tuple(dict.fromkeys(g for m in members for g in m.gates)),
+            deliver, gates, by_value, bool(deliver or gates or by_value),
             frozenset(w for m in members for w in m.arm_sib),
             frozenset(w for m in members for w in m.arm_fol))
 
@@ -612,9 +667,9 @@ class AutomatonRun:
         start = self.automaton.start
         self.stack = [start]
         self._armed = frozenset()
-        if start.deliver or start.gates:
+        if start.fires:
             # Members accepting at the root itself (e.g. the path "/").
-            self._fire(core, start, root_id, 0, False, None, None, False)
+            self._fire(core, start, root_id, 0, False, None, None, False, ())
 
     def _arm(self, core, sib, fol) -> None:
         """Merge newly armed (and still-armed ``following``) windows into
@@ -639,22 +694,23 @@ class AutomatonRun:
         if is_element:
             state = automaton.element_successor(top, tag, core.stats)
             stack.append(state)
-            if state.deliver or state.gates:
+            if state.fires:
                 self._fire(core, state, node_id, depth, True, tag, None,
-                           False)
+                           False, attributes)
             if attributes and state.nfa and automaton.has_attribute_rules:
                 for index, (name, attr_value) in enumerate(attributes):
                     successor = automaton.attribute_successor(
                         state, name, core.stats)
-                    if successor.deliver or successor.gates:
+                    if successor.fires:
                         # Attribute nodes claim the ids after their element.
                         self._fire(core, successor, node_id + 1 + index,
-                                   depth + 1, False, name, attr_value, True)
+                                   depth + 1, False, name, attr_value, True,
+                                   ())
         else:
             state = automaton.text_successor(top, core.stats)
-            if state.deliver or state.gates:
+            if state.fires:
                 self._fire(core, state, node_id, depth, False, None, value,
-                           False)
+                           False, ())
             if state.arm_sib or state.arm_fol:
                 # Text anchors have no close event: their windows arm at
                 # the text event itself, into the enclosing element entry.
@@ -670,13 +726,17 @@ class AutomatonRun:
         self._armed = frozenset()
 
     def _fire(self, core, state: _DfaState, node_id: int, depth: int,
-              is_element: bool, tag, value, is_attribute: bool) -> None:
+              is_element: bool, tag, value, is_attribute: bool,
+              attributes) -> None:
         """Deliver ``state``'s accepts and open its qualifier gates at the
-        current node.
+        current node, whose start tag carries ``attributes``.
 
         A gate is a step match like any other: the node reached the gate's
         spine prefix, so it continues through ``core.step_matched`` with the
-        gate's qualifiers and remaining steps.  Everything converges on
+        gate's qualifiers and remaining steps.  Value-indexed gates are
+        probed once per attribute of the node: a gate whose ``(a, lit)``
+        pair is not on the start tag has a false attribute predicate, and
+        opening it would do nothing.  Everything converges on
         ``core.add_candidate`` — pure structural accepts directly, gated
         members once their remainder resolves — which is also where
         substream capture windows open
@@ -690,11 +750,16 @@ class AutomatonRun:
         for ordinal in state.deliver:
             core.add_candidate(sink_of(ordinal), node_id, depth, is_element,
                                value, ())
-        for gate in state.gates:
+        gates = state.gates
+        if state.by_value and attributes:
+            by_value = state.by_value
+            gates += tuple(gate for pair in attributes
+                           for gate in by_value.get(pair, ()))
+        for gate in gates:
             sink = sink_of(gate.ordinal)
             # A satisfied sink's verdict is fixed (exists-only sink): the
             # gate's conditions and expectations could change nothing.
             if not sink.satisfied:
-                core.step_matched(gate.qualifiers, gate.remaining, sink,
+                core.step_matched(gate.split, gate.remaining, sink,
                                   node_id, depth, is_element, tag, value,
-                                  is_attribute=is_attribute)
+                                  (), is_attribute, attributes)

@@ -41,6 +41,7 @@ from repro.streaming.automaton import (
     SubscriptionAutomaton,
     compile_subscription_automaton,
     resolve_backend,
+    value_indexed_gates,
 )
 from repro.streaming.delivery import Delivery, VerdictDelivery
 from repro.streaming.matcher import MultiMatcher, MultiMatchResult, Subscription
@@ -317,12 +318,19 @@ class SubscriptionIndex:
     def sharing_summary(self) -> dict:
         """Leading-step overlap of the live subscriptions (see
         ``analysis.prefix_sharing_summary``), plus the live ``members``
-        (distinct compiled paths) and ``max_keys_per_member``."""
+        (distinct compiled paths), ``max_keys_per_member``, the distinct
+        ``attribute_predicates`` their steps decide from start tags, and
+        their ``value_indexed_gates`` (gates a DFA state keys by an
+        ``@a = "lit"`` conjunct)."""
         summary = analysis.prefix_sharing_summary(
             subscription.path for subscription in self.subscriptions)
         summary["members"] = len(self._member_of)
         summary["max_keys_per_member"] = max(map(len, self._members),
                                              default=0)
+        summary["attribute_predicates"] = len(
+            {step.attribute_split[0] for path in self._member_of
+             for step in analysis.iter_steps(path)} - {None})
+        summary["value_indexed_gates"] = value_indexed_gates(self._member_of)
         return summary
 
     # -- matching ----------------------------------------------------------

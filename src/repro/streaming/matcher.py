@@ -54,12 +54,15 @@ How it works
   satisfied — a qualifier witness found, or a verdict-only subscription
   decided) are unlinked *at the moment of satisfaction* through the
   sink-watcher registry rather than re-checked on every event.
-* Qualifiers and joins become *conditions* attached to candidate matches.
-  Existence qualifiers spawn sub-expectations anchored at the candidate;
-  ``==`` joins collect node ids on both sides; ``=`` joins additionally
-  buffer string values.  Absolute sub-paths (introduced by RuleSet1's
-  rewriting) are matched once from the document root into sinks shared by
-  all conditions that mention them.
+* Attribute-only qualifiers (``[@a]``, ``[@a = "v"]``, ``and``/``or`` of
+  them) are decided from the start tag the moment their step matches; a
+  false one ends the match there.
+* Other qualifiers and joins become *conditions* attached to candidate
+  matches.  Existence qualifiers spawn sub-expectations anchored at the
+  candidate; ``==`` joins collect node ids on both sides; ``=`` joins
+  additionally buffer string values.  Absolute sub-paths (introduced by
+  RuleSet1's rewriting) are matched once from the document root into sinks
+  shared by all conditions that mention them.
 * At the end of the stream every condition can be decided and the candidates
   whose conditions hold are reported.  Memory therefore scales with the
   number of *pending candidates and conditions* — not with the document —
@@ -233,10 +236,11 @@ class _Condition:
         """Whether the condition is already *irrevocably* true mid-stream.
 
         Conservative: ``False`` just means "not decided yet".  This is what
-        lets ``[@a]`` / ``[@a = "v"]`` qualifiers settle verdicts at the
-        StartElement that carries the attributes — their sub-sinks are final
-        the moment the per-element attribute sweep ends — instead of
-        waiting for the end of the stream.
+        lets qualifiers that mention attributes beside other tests
+        (``[@a or child::b]``) settle verdicts at the StartElement that
+        carries the attributes — their attribute sub-sinks are final the
+        moment the per-element attribute sweep ends — instead of waiting
+        for the end of the stream.
         """
         return False
 
@@ -281,9 +285,11 @@ class _TrueCondition(_Condition):
 class _ValueMatchCondition(_Condition):
     """A ``path = "literal"`` join: some surviving entry has that value.
 
-    For attribute operands (``[@id = "42"]``) the value arrives complete on
-    the StartElement event, so the sink entry's value is already final the
-    moment the qualifier is built.
+    A bare ``[@id = "42"]`` never gets here — it is an attribute predicate,
+    decided from the start tag when its step matches.  Attribute operands
+    inside mixed qualifiers (``[@id = "42" or child::b]``) do: their value
+    arrives complete on the StartElement event, so the sink entry's value
+    is final the moment the attribute sweep delivers it.
     """
 
     __slots__ = ("sink", "value")
@@ -668,8 +674,10 @@ class MultiMatcher:
         self._sink_watchers: Dict[_Sink, Dict[int, _Expectation]] = {}
         #: Conditioned existence-sink entries delivered during the current
         #: event; re-examined once the event (and its attribute sweep) is
-        #: complete, so qualifiers decidable *at* StartElement — ``[@a]``,
-        #: ``[@a = "v"]`` — settle verdicts without waiting for the stream.
+        #: complete, so conditions decidable *at* StartElement — attribute
+        #: tests inside mixed qualifiers, ``[@a or child::b]`` — settle
+        #: verdicts without waiting for the stream.  (Attribute-only
+        #: qualifiers never make a condition: ``step_matched`` decides them.)
         self._event_entries: List[Tuple[_Sink, _Entry]] = []
         #: Waiting + active expectations (expired ones are unlinked eagerly).
         self._live = 0
@@ -710,7 +718,8 @@ class MultiMatcher:
         #: empty one is a retired member) and retired ordinals shared *by
         #: reference*, and the version / generation last synced to.  Stay
         #: under 30 instance attributes: at 30 CPython stops sharing instance
-        #: dict keys, and every ``self.`` lookup here slows (~10%).
+        #: dict keys, and every ``self.`` lookup here slows (~9%; pinned by
+        #: ``TestInstanceLayout`` in ``tests/test_streaming_matcher.py``).
         self._index = index
         self._members: List[List[Subscription]] = index._members
         self._retired: set = index._retired
@@ -976,10 +985,10 @@ class MultiMatcher:
                 # The bucket implies the node test; check state and depth.
                 if not expectation.admissible(depth):
                     continue
-                self.step_matched(expectation.step.qualifiers,
+                self.step_matched(expectation.step.attribute_split,
                                   expectation.remaining, expectation.sink,
                                   node_id, depth, is_element, tag, value,
-                                  expectation.conditions)
+                                  expectation.conditions, False, attributes)
         if self._automaton_run is not None:
             # Structural dispatch: decided deliveries plus qualifier gates,
             # which may spawn expectations anchored at this very node —
@@ -997,8 +1006,8 @@ class MultiMatcher:
 
         Runs at the end of every node event, after the attribute sweep:
         attribute sub-sinks cannot change after it, so a candidate guarded
-        only by attribute qualifiers (or other already-irrevocable
-        conditions) decides its sink — and, in verdict-only sessions, its
+        only by conditions the sweep decided (or other already-irrevocable
+        ones) decides its sink — and, in verdict-only sessions, its
         subscription — right here.
         """
         entries = self._event_entries
@@ -1019,9 +1028,11 @@ class MultiMatcher:
         being processed (step matching above) and can only ever match that
         element's own attributes, which are all present on its start event —
         so they are resolved here, eagerly, and whatever is left expires
-        before the event ends.  ``[@a]`` existence qualifiers and
-        ``[@a = "v"]`` value joins are therefore decided *at* StartElement;
-        nothing attribute-related survives into later events.
+        before the event ends.  They come from attribute *steps*
+        (``//item/@id``) and from attribute operands of mixed qualifiers
+        (``[@a or child::b]``); attribute-only qualifiers are decided in
+        :meth:`step_matched` without any.  Nothing attribute-related
+        survives into later events.
         """
         dispatch = self._dispatch
         stats = self.stats
@@ -1040,7 +1051,7 @@ class MultiMatcher:
                 if (expectation.state is not _ACTIVE
                         or expectation.anchor_id != node_id):
                     continue
-                self.step_matched(expectation.step.qualifiers,
+                self.step_matched(expectation.step.attribute_split,
                                   expectation.remaining, expectation.sink,
                                   attribute_id, depth + 1, False, name, value,
                                   expectation.conditions, is_attribute=True)
@@ -1224,9 +1235,12 @@ class MultiMatcher:
                     anchor_depth: int, anchor_is_element: bool,
                     anchor_tag: Optional[str], anchor_value: Optional[str],
                     conditions: Tuple[_Condition, ...], sink: _Sink,
-                    anchor_is_attribute: bool = False) -> None:
+                    anchor_is_attribute: bool = False,
+                    anchor_attributes: Tuple[Tuple[str, str], ...] = ()
+                    ) -> None:
         """Expect ``steps[0]`` from the given anchor; the rest of the
         sequence continues from whatever matches it, into ``sink``.
+        ``anchor_attributes`` is the anchor's start-tag attribute tuple.
 
         Invariant relied on for expiry registration: spawning only ever
         happens while the anchor is the node currently being processed (or
@@ -1258,10 +1272,10 @@ class MultiMatcher:
             # The anchor itself may match the first step.
             if self._anchor_matches_test(step, anchor_is_element, anchor_tag,
                                          anchor_is_text, anchor_is_attribute):
-                self.step_matched(step.qualifiers, remaining, sink,
+                self.step_matched(step.attribute_split, remaining, sink,
                                   anchor_id, anchor_depth, anchor_is_element,
                                   anchor_tag, anchor_value, conditions,
-                                  anchor_is_attribute)
+                                  anchor_is_attribute, anchor_attributes)
             if axis is Axis.SELF:
                 return
 
@@ -1331,32 +1345,42 @@ class MultiMatcher:
             return anchor_is_element
         return anchor_is_element and anchor_tag == step.node_test.name
 
-    def step_matched(self, qualifiers: Tuple[Qualifier, ...],
-                     remaining: Tuple[Step, ...], sink: _Sink,
+    def step_matched(self, split, remaining: Tuple[Step, ...], sink: _Sink,
                      node_id: int, depth: int, is_element: bool,
                      tag: Optional[str], value: Optional[str],
                      conditions: Tuple[_Condition, ...] = (),
-                     is_attribute: bool = False) -> None:
-        """A node matched a step: turn the step's ``qualifiers`` into
-        conditions (after the inherited ``conditions``), then continue with
-        the ``remaining`` steps anchored at the node — or, when none are
-        left, deliver it into ``sink``.
+                     is_attribute: bool = False,
+                     attributes: Tuple[Tuple[str, str], ...] = ()) -> None:
+        """A node matched a step: decide the step's attribute predicate
+        from the node's start-tag ``attributes`` (``()`` for non-elements),
+        turn the other qualifiers into conditions (after the inherited
+        ``conditions``), then continue with the ``remaining`` steps anchored
+        at the node — or, when none are left, deliver it into ``sink``.
+        ``split`` is the step's ``attribute_split`` (a gate's ``split``).
 
         The one hand-off for every kind of step match: dispatched elements
         and text, the attribute sweep, ``self``/``descendant-or-self``
         anchors, and automaton gates (whose "step" is the gate's qualifiers
-        and remainder).
+        and remainder).  Each happens during the matched node's own event,
+        so its attribute tuple is at hand: a false predicate ends the match
+        here — no condition, sink, expectation or entry is built.
         """
+        predicate, qualifiers = split
+        if predicate is not None:
+            self.stats.predicates_tested += 1
+            if not predicate.holds(attributes):
+                return
         if qualifiers:
             conditions += tuple(
                 self._build_condition(qual, node_id, depth, is_element, tag,
-                                      value, is_attribute)
+                                      value, is_attribute, attributes)
                 for qual in qualifiers)
         if remaining:
             self.spawn_steps(remaining, anchor_id=node_id, anchor_depth=depth,
                              anchor_is_element=is_element, anchor_tag=tag,
                              anchor_value=value, conditions=conditions,
-                             sink=sink, anchor_is_attribute=is_attribute)
+                             sink=sink, anchor_is_attribute=is_attribute,
+                             anchor_attributes=attributes)
         else:
             self.add_candidate(sink, node_id, depth, is_element, value,
                                conditions)
@@ -1469,30 +1493,22 @@ class MultiMatcher:
     # -- conditions ---------------------------------------------------------
     def _build_condition(self, qual: Qualifier, node_id: int, depth: int,
                          is_element: bool, tag: Optional[str],
-                         value: Optional[str],
-                         is_attribute: bool = False) -> _Condition:
+                         value: Optional[str], is_attribute: bool,
+                         attributes: Tuple[Tuple[str, str], ...]
+                         ) -> _Condition:
         self.stats.conditions_created += 1
+        carrier = (node_id, depth, is_element, tag, value, is_attribute,
+                   attributes)
         if isinstance(qual, PathQualifier):
             if isinstance(qual.path, Bottom):
                 return _FalseCondition()
             return _ExistsCondition(self._operand_sink(
-                qual.path, node_id, depth, is_element, tag, value,
-                collect_values=False, is_attribute=is_attribute,
-                exists_only=True))
-        if isinstance(qual, AndExpr):
-            return _AndCondition([
-                self._build_condition(qual.left, node_id, depth, is_element,
-                                      tag, value, is_attribute),
-                self._build_condition(qual.right, node_id, depth, is_element,
-                                      tag, value, is_attribute),
-            ])
-        if isinstance(qual, OrExpr):
-            return _OrCondition([
-                self._build_condition(qual.left, node_id, depth, is_element,
-                                      tag, value, is_attribute),
-                self._build_condition(qual.right, node_id, depth, is_element,
-                                      tag, value, is_attribute),
-            ])
+                qual.path, *carrier, collect_values=False, exists_only=True))
+        if isinstance(qual, (AndExpr, OrExpr)):
+            parts = (self._build_condition(qual.left, *carrier),
+                     self._build_condition(qual.right, *carrier))
+            return (_AndCondition(parts) if isinstance(qual, AndExpr)
+                    else _OrCondition(parts))
         if isinstance(qual, Comparison):
             left_literal = isinstance(qual.left, Literal)
             right_literal = isinstance(qual.right, Literal)
@@ -1506,22 +1522,20 @@ class MultiMatcher:
                             else _FalseCondition())
                 literal = qual.left if left_literal else qual.right
                 operand = qual.right if left_literal else qual.left
-                sink = self._operand_sink(operand, node_id, depth, is_element,
-                                          tag, value, collect_values=True,
-                                          is_attribute=is_attribute)
+                sink = self._operand_sink(operand, *carrier,
+                                          collect_values=True)
                 return _ValueMatchCondition(sink, literal.value)
             collect = qual.op == "="
-            left = self._operand_sink(qual.left, node_id, depth, is_element,
-                                      tag, value, collect, is_attribute)
-            right = self._operand_sink(qual.right, node_id, depth, is_element,
-                                       tag, value, collect, is_attribute)
+            left = self._operand_sink(qual.left, *carrier, collect)
+            right = self._operand_sink(qual.right, *carrier, collect)
             return _JoinCondition(left, right, qual.op)
         raise StreamingError(f"not a qualifier: {qual!r}")
 
     def _operand_sink(self, operand: PathExpr, node_id: int, depth: int,
                       is_element: bool, tag: Optional[str],
-                      value: Optional[str], collect_values: bool,
-                      is_attribute: bool = False,
+                      value: Optional[str], is_attribute: bool,
+                      attributes: Tuple[Tuple[str, str], ...],
+                      collect_values: bool,
                       exists_only: bool = False) -> _Sink:
         """The sink a qualifier operand's matches land in: the shared
         absolute sink, or a fresh one fed by the operand's union members
@@ -1536,7 +1550,8 @@ class MultiMatcher:
             self.spawn_steps(member.steps, anchor_id=node_id, anchor_depth=depth,
                              anchor_is_element=is_element, anchor_tag=tag,
                              anchor_value=value, conditions=(), sink=sink,
-                             anchor_is_attribute=is_attribute)
+                             anchor_is_attribute=is_attribute,
+                             anchor_attributes=attributes)
         return sink
 
     # -- results -----------------------------------------------------------

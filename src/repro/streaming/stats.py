@@ -59,6 +59,10 @@ class StreamStats:
     transition_cache_flushed: int = 0
     #: Qualifier/join conditions created during the run.
     conditions_created: int = 0
+    #: Attribute predicates (``[@a]``, ``[@a = "v"]``, and/or of those)
+    #: decided inline from a matched node's start tag: one per decision,
+    #: true or false; a false one builds no condition at all.
+    predicates_tested: int = 0
     #: Candidate matches buffered awaiting qualifier/join resolution.
     candidates_buffered: int = 0
     #: Characters of text buffered for value (``=``) joins.

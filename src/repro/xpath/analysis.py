@@ -14,6 +14,7 @@ rewriting algorithm and the benchmarks rely on:
 
 from __future__ import annotations
 
+from dataclasses import dataclass
 from typing import Iterable, Iterator, List, Optional, Tuple
 
 from repro.xpath.ast import (
@@ -537,6 +538,119 @@ def is_structurally_decided(path: PathExpr) -> bool:
         if automaton_spine_alternatives(member.steps) is None:
             return False
     return True
+
+
+# ---------------------------------------------------------------------------
+# Attribute predicates (decided from a start tag's attribute tuple)
+# ---------------------------------------------------------------------------
+
+@dataclass(frozen=True)
+class AttributePredicate:
+    """An attribute-only qualifier, decided from the carrier's
+    ``(name, value)`` attribute tuple alone.
+
+    ``op`` is ``"has"`` (``[@a]``; ``name`` ``None`` for ``[@*]``),
+    ``"eq"`` (``[@a = "v"]`` / ``["v" = @a]``), ``"and"`` or ``"or"`` over
+    ``parts``.  Non-elements carry the empty tuple, on which every
+    ``has`` / ``eq`` is false.
+    """
+
+    op: str
+    name: Optional[str] = None
+    value: Optional[str] = None
+    parts: Tuple["AttributePredicate", ...] = ()
+
+    def holds(self, attributes: Tuple[Tuple[str, str], ...]) -> bool:
+        op = self.op
+        if op == "eq":
+            if self.name is not None:
+                return (self.name, self.value) in attributes
+            return any(value == self.value for _, value in attributes)
+        if op == "has":
+            if self.name is None:
+                return bool(attributes)
+            return any(name == self.name for name, _ in attributes)
+        if op == "and":
+            return all(part.holds(attributes) for part in self.parts)
+        return any(part.holds(attributes) for part in self.parts)
+
+    @property
+    def index_key(self) -> Optional[Tuple[str, str]]:
+        """A ``(name, value)`` pair every satisfying tuple contains — a
+        named ``eq`` conjunct — or ``None``."""
+        if self.op == "eq" and self.name is not None:
+            return (self.name, self.value)
+        if self.op == "and":
+            for part in self.parts:
+                key = part.index_key
+                if key is not None:
+                    return key
+        return None
+
+
+def _attribute_operand(operand: PathExpr) -> Optional[Step]:
+    """The step of a one-step, qualifier-free relative attribute path."""
+    if (isinstance(operand, LocationPath) and not operand.absolute
+            and len(operand.steps) == 1):
+        only = operand.steps[0]
+        if (only.axis is Axis.ATTRIBUTE and not only.qualifiers
+                and only.node_test.kind is NodeTestKind.ATTRIBUTE):
+            return only
+    return None
+
+
+def attribute_predicate(qual: Qualifier) -> Optional[AttributePredicate]:
+    """The :class:`AttributePredicate` a qualifier stands for, or ``None``
+    when it is not attribute-only: ``[@a]``, ``[@*]``, ``[@a = "lit"]``,
+    ``["lit" = @a]``, and ``and`` / ``or`` of those."""
+    if isinstance(qual, PathQualifier):
+        only = _attribute_operand(qual.path)
+        return None if only is None else AttributePredicate(
+            "has", only.node_test.name)
+    if isinstance(qual, Comparison):
+        if qual.op != "=":
+            return None
+        if isinstance(qual.right, Literal):
+            operand, literal = qual.left, qual.right
+        elif isinstance(qual.left, Literal):
+            operand, literal = qual.right, qual.left
+        else:
+            return None
+        only = _attribute_operand(operand)
+        return None if only is None else AttributePredicate(
+            "eq", only.node_test.name, literal.value)
+    if isinstance(qual, (AndExpr, OrExpr)):
+        left = attribute_predicate(qual.left)
+        right = attribute_predicate(qual.right)
+        if left is None or right is None:
+            return None
+        return AttributePredicate(
+            "and" if isinstance(qual, AndExpr) else "or",
+            parts=(left, right))
+    return None
+
+
+def split_attribute_qualifiers(qualifiers: Tuple[Qualifier, ...]):
+    """``(predicate, rest)``: the conjunction of the attribute-only
+    qualifiers (``None`` if there are none) and the others, in order.
+
+    Compute once per compiled step (``Step.attribute_split``) or gate,
+    never per event.
+    """
+    if not qualifiers:
+        return None, ()
+    predicates, rest = [], []
+    for qual in qualifiers:
+        predicate = attribute_predicate(qual)
+        if predicate is None:
+            rest.append(qual)
+        else:
+            predicates.append(predicate)
+    if not predicates:
+        return None, tuple(qualifiers)
+    predicate = (predicates[0] if len(predicates) == 1
+                 else AttributePredicate("and", parts=tuple(predicates)))
+    return predicate, tuple(rest)
 
 
 # ---------------------------------------------------------------------------

@@ -26,6 +26,7 @@ from __future__ import annotations
 
 import enum
 from dataclasses import dataclass, replace
+from functools import cached_property
 from typing import Iterable, Iterator, Optional, Tuple, Union as TypingUnion
 
 from repro.xpath.axes import Axis
@@ -190,6 +191,14 @@ class Step:
     def without_qualifiers(self) -> "Step":
         """Return a copy of the step with no qualifiers."""
         return replace(self, qualifiers=())
+
+    @cached_property
+    def attribute_split(self):
+        """``(attribute predicate or None, other qualifiers)`` — see
+        :func:`repro.xpath.analysis.split_attribute_qualifiers`; computed
+        once per step object, read on every match of the step."""
+        from repro.xpath.analysis import split_attribute_qualifiers
+        return split_attribute_qualifiers(self.qualifiers)
 
 
 @dataclass(frozen=True)

@@ -80,6 +80,7 @@ documents = _element(3, min_children=2)
 def _literal(value):
     return f'"{value}"'
 
+
 attribute_leaves = st.one_of(
     st.sampled_from(NAMES).map(lambda name: f"@{name}"),
     st.just("@*"),
@@ -153,11 +154,8 @@ def _assert_rows_match_dom(broker, result, expected, keys):
             assert row.node_ids == expected[key], key
 
 
-@given(document=documents,
-       batch=st.lists(queries, min_size=1, max_size=4),
-       cuts=st.lists(st.integers(min_value=0, max_value=400), max_size=3))
-@settings(max_examples=150, **SETTINGS)
-def test_attribute_qualifiers_match_the_dom_evaluator(document, batch, cuts):
+def _assert_every_run_matches_dom(document, batch, cuts):
+    """Both backends, every delivery, the document whole and in chunks."""
     events = list(iter_events(document))
     index = SubscriptionIndex(dict(enumerate(batch)), cache=COMPILE_CACHE)
     expected = {subscription.key: dom_evaluate(subscription.path,
@@ -170,6 +168,42 @@ def test_attribute_qualifiers_match_the_dom_evaluator(document, batch, cuts):
             for feed in (document, _chunks(document, cuts)):
                 result = broker.submit("doc", feed)
                 _assert_rows_match_dom(broker, result, expected, expected)
+    return expected
+
+
+@given(document=documents,
+       batch=st.lists(queries, min_size=1, max_size=4),
+       cuts=st.lists(st.integers(min_value=0, max_value=400), max_size=3))
+@settings(max_examples=150, **SETTINGS)
+def test_attribute_qualifiers_match_the_dom_evaluator(document, batch, cuts):
+    _assert_every_run_matches_dom(document, batch, cuts)
+
+
+#: Every position crossed with every predicate shape, on documents where
+#: each shape both holds and fails somewhere.
+SWEEP_DOCUMENTS = (
+    '<x a="v" b="a&amp;b"><y a="&#118;">v<z b="x&lt;y"/></y>'
+    '<y b="w"><x a="x&#60;y">w</x></y>v'
+    '<z a="a&#38;b" b="&#x76;"><x/><y a="v" b="v"/></z></x>',
+    '<z><x a="w"><y a="v" b="v">w</y></x><x a="v" b="a&amp;b"><y/>v</x>'
+    '<y a="x&lt;y"><x b="v"><z a="v">v</z></x></y></z>',
+)
+SWEEP_QUALIFIERS = (
+    "[@a]", "[@*]", '[@a = "v"]', '["a&b" = @b]', '[@* = "x<y"]',
+    '[@a = "v"][@b]', '[(@a = "w" or @b = "v") and @*]',
+    '[@a = "v" and @b = "v"]', "[@b][child::y]", '[@a = "v"][. = "v"]',
+    '[@a = "x<y" or child::z]', '["v" = @a][descendant::z[@b]]',
+)
+
+
+def test_every_position_and_shape_matches_the_dom_evaluator():
+    batch = [position.format(t=t, u="y", q=qualifiers)
+             for position in POSITIONS for t in ("x", "*")
+             for qualifiers in SWEEP_QUALIFIERS]
+    for document in SWEEP_DOCUMENTS:
+        expected = _assert_every_run_matches_dom(document, batch, [17, 60])
+        # The sweep is only as strong as its hits.
+        assert sum(map(bool, expected.values())) > len(batch) // 3
 
 
 @given(document=documents, late=queries,

@@ -234,6 +234,86 @@ class TestStreamingEqualsDom:
 
 
 # ---------------------------------------------------------------------------
+# Attribute predicates: decided on the start tag
+# ---------------------------------------------------------------------------
+
+def _qualifiers(query):
+    """The qualifiers of the last spine step of ``query``."""
+    return parse_xpath(query).steps[-1].qualifiers
+
+
+class TestAttributePredicates:
+    @pytest.mark.parametrize("query,attributes,holds", [
+        ("/x[@a]", (("a", ""),), True),
+        ("/x[@a]", (("b", "1"),), False),
+        ("/x[@*]", (("b", "1"),), True),
+        ("/x[@*]", (), False),
+        ('/x[@a = "1"]', (("b", "1"), ("a", "1")), True),
+        ('/x["1" = @a]', (("a", "2"),), False),
+        ('/x[@* = "2"]', (("b", "1"), ("a", "2")), True),
+        ('/x[@a and (@b or "3" = @c)]', (("a", "1"), ("c", "3")), True),
+        ('/x[@a and (@b or "3" = @c)]', (("a", "1"), ("c", "4")), False),
+    ])
+    def test_a_predicate_reads_the_attribute_tuple(self, query, attributes,
+                                                   holds):
+        (qual,) = _qualifiers(query)
+        assert analysis.attribute_predicate(qual).holds(attributes) is holds
+
+    @pytest.mark.parametrize("query", [
+        "/x[child::y]", '/x[. = "1"]', "/x[@a = @b]", "/x[@a/self::node()]",
+        "/x[@a or child::y]", '/x[@a[. = "1"]]', "/x[attribute::a/@b]",
+    ])
+    def test_other_qualifiers_are_not_attribute_predicates(self, query):
+        (qual,) = _qualifiers(query)
+        assert analysis.attribute_predicate(qual) is None
+
+    def test_a_step_splits_once_into_predicate_and_rest(self):
+        step = parse_xpath('/x[@a = "1"][child::y][@b]').steps[-1]
+        predicate, rest = step.attribute_split
+        assert predicate == analysis.AttributePredicate(
+            "and", parts=(analysis.AttributePredicate("eq", "a", "1"),
+                          analysis.AttributePredicate("has", "b")))
+        assert predicate.index_key == ("a", "1")
+        assert rest == step.qualifiers[1:2]
+        assert step.attribute_split is step.attribute_split
+        assert parse_xpath("/x").steps[-1].attribute_split == (None, ())
+
+    def test_predicates_tested_counts_inline_decisions(self, backend):
+        events = list(iter_events(
+            '<r><x a="1"><y/></x><x a="2"><y/></x><x><y/></x></r>'))
+        result = SubscriptionIndex({"q": '//x[@a = "1"]/y'}).evaluate(
+            events, backend=backend)
+        assert result["q"].node_ids == [4]
+        # The expectation engine decides the predicate on every x; the DFA
+        # gate is keyed by ("a", "1") and opens on the one x carrying it.
+        assert result.stats.predicates_tested == (
+            1 if backend == "dfa" else 3)
+        assert result.stats.conditions_created == 0
+        assert result.stats.candidates_buffered == 1
+
+    def test_sharing_summary_counts_predicates_and_value_indexed_gates(self):
+        index = SubscriptionIndex({
+            "a": '//item[@id = "1"]/price',
+            "b": '//item[@id = "1"]/price',
+            "c": '//item[@id = "2"][child::title]',
+            "d": "//item[@featured or @sale]",
+            "e": '//feed[child::item["1" = @id]]',
+            "f": "//item/@id",
+        })
+        summary = index.sharing_summary()
+        # @id="1" (three times, once nested), @id="2", @featured or @sale.
+        assert summary["attribute_predicates"] == 3
+        # The gates of a (shared with b) and c; d has no value conjunct and
+        # e's predicate sits below its gate.
+        assert summary["value_indexed_gates"] == 2
+        index.remove_subscription("c")
+        assert index.sharing_summary()["value_indexed_gates"] == 1
+        assert index.sharing_summary()["attribute_predicates"] == 2
+        assert SubscriptionIndex().sharing_summary()["value_indexed_gates"] \
+            == 0
+
+
+# ---------------------------------------------------------------------------
 # Rewriting: reverse axes around attribute steps
 # ---------------------------------------------------------------------------
 
