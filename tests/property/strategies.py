@@ -24,21 +24,28 @@ TEXTS = ("x", "y", "z")
 # Documents
 # ---------------------------------------------------------------------------
 
-def _tree(depth):
+def _tree(depth, texts=TEXTS, attributes=st.just({})):
     if depth == 0:
-        return st.builds(element, st.sampled_from(TAGS))
-    child = st.deferred(lambda: _tree(depth - 1))
+        return st.builds(lambda tag, attrs: element(tag, attributes=attrs),
+                         st.sampled_from(TAGS), attributes)
+    child = st.deferred(lambda: _tree(depth - 1, texts, attributes))
     children = st.lists(
-        st.one_of(child, st.builds(text, st.sampled_from(TEXTS))),
+        st.one_of(child, st.builds(text, st.sampled_from(texts))),
         min_size=0, max_size=3)
-    return st.builds(lambda tag, kids: element(tag, *kids),
-                     st.sampled_from(TAGS), children)
+    return st.builds(lambda tag, kids, attrs: element(tag, *kids,
+                                                       attributes=attrs),
+                     st.sampled_from(TAGS), children, attributes)
 
 
 @st.composite
-def documents(draw, max_depth=3):
-    """A random document with a single document element."""
-    return Document.from_tree(draw(_tree(max_depth)))
+def documents(draw, max_depth=3, texts=TEXTS, attributes=False):
+    """A random document with a single document element.  ``texts`` are the
+    character data the leaves draw from; with ``attributes`` every element
+    may carry an ``id`` drawn from ``texts`` too."""
+    attrs = (st.dictionaries(st.just("id"), st.sampled_from(texts),
+                             max_size=1)
+             if attributes else st.just({}))
+    return Document.from_tree(draw(_tree(max_depth, texts, attrs)))
 
 
 # ---------------------------------------------------------------------------

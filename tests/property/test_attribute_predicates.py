@@ -13,10 +13,14 @@ qualifier can stand:
 * on carriers without attributes: text nodes, attribute nodes and the
   document root.
 
-Documents carry attribute values written with entity and character
-references, and each is fed whole and split into chunks, through both
-backends and every delivery.  A subscription that joins mid-document over
-already materialized DFA states shows from the next document on.
+Beside them stand value tests ``[. = "v"]`` / ``["v" = .]``: on a final
+element step they are decided at the element's close, so the substream
+payloads (compared byte for byte with the DOM answers) must still span the
+whole element.  Documents carry attribute values and text written with
+entity and character references, mixed content and empty elements, and
+each is fed whole and split into chunks, through both backends and every
+delivery.  A subscription that joins mid-document over already
+materialized DFA states shows from the next document on.
 """
 
 from hypothesis import HealthCheck, given, settings
@@ -28,6 +32,7 @@ from repro.xmlmodel.parser import iter_events
 from repro.xpath.cache import QueryCache
 
 from tests.dense_oracle import DELIVERIES, assert_sparse_equals_dense
+from tests.property.test_substream_extraction import payload_oracle
 
 SETTINGS = dict(deadline=None,
                 suppress_health_check=[HealthCheck.too_slow,
@@ -62,7 +67,8 @@ def _attributes(draw):
 
 def _element(depth, min_children=0):
     children = (st.lists(st.one_of(st.deferred(lambda: _element(depth - 1)),
-                                   st.sampled_from(("v", "w"))),
+                                   st.sampled_from(("v", "w", "&#118;",
+                                                    "a&amp;b"))),
                          min_size=min_children, max_size=4)
                 if depth else st.just([]))
     return st.builds(lambda tag, attributes, kids:
@@ -95,9 +101,15 @@ attribute_predicates = st.recursive(
         lambda parts: f"({parts[0]} {parts[1]} {parts[2]})"),
     max_leaves=4)
 
+#: String values a node of these documents may have, ``""`` for empty ones.
+STRING_VALUES = ("v", "w", "vw", "", "a&b")
+
 other_qualifiers = st.one_of(
     st.sampled_from(TAGS).map(lambda tag: f"child::{tag}"),
-    st.sampled_from(("v", "w")).map(lambda value: f". = {_literal(value)}"),
+    st.sampled_from(STRING_VALUES).map(
+        lambda value: f". = {_literal(value)}"),
+    st.sampled_from(STRING_VALUES).map(
+        lambda value: f"{_literal(value)} = ."),
     st.sampled_from(TAGS).map(lambda tag: f"descendant::{tag}[@a]"))
 
 #: One qualifier: attribute-only, other, or the two mixed in one formula.
@@ -128,6 +140,7 @@ POSITIONS = (
     "//{t}/text(){q}",
     "//{t}/@a{q}",
     "/self::node(){q}//{t}",
+    "/self::node(){q}",
     "//{t}/following-sibling::{u}{q}",
 )
 
@@ -144,14 +157,16 @@ def _chunks(text, cuts):
     return [text[start:stop] for start, stop in zip(bounds, bounds[1:])]
 
 
-def _assert_rows_match_dom(broker, result, expected, keys):
+def _assert_rows_match_dom(broker, result, expected, keys, events):
     assert_sparse_equals_dense(broker.session, result)
-    verdicts = broker.session._delivery.matches_only
+    delivery = broker.session._delivery
     for key in keys:
         row = result[key]
         assert row.matched == bool(expected[key]), key
-        if not verdicts:
+        if not delivery.matches_only:
             assert row.node_ids == expected[key], key
+        if delivery.captures and delivery.on_payload is None:
+            assert row.payload == payload_oracle(events, expected[key]), key
 
 
 def _assert_every_run_matches_dom(document, batch, cuts):
@@ -167,7 +182,8 @@ def _assert_every_run_matches_dom(document, batch, cuts):
                                     delivery=delivery())
             for feed in (document, _chunks(document, cuts)):
                 result = broker.submit("doc", feed)
-                _assert_rows_match_dom(broker, result, expected, expected)
+                _assert_rows_match_dom(broker, result, expected, expected,
+                                       events)
     return expected
 
 
@@ -193,6 +209,7 @@ SWEEP_QUALIFIERS = (
     '[@a = "v"][@b]', '[(@a = "w" or @b = "v") and @*]',
     '[@a = "v" and @b = "v"]', "[@b][child::y]", '[@a = "v"][. = "v"]',
     '[@a = "x<y" or child::z]', '["v" = @a][descendant::z[@b]]',
+    '["vw" = .]', '[@b][. = ""]',
 )
 
 
@@ -238,8 +255,8 @@ def test_a_late_subscription_shows_from_the_next_document(document, late,
                     for subscription in broker.subscriptions}
         during = broker.submit("during", churned())
         assert "late" not in during.by_key
-        _assert_rows_match_dom(broker, during, expected, standing)
+        _assert_rows_match_dom(broker, during, expected, standing, events)
         expected["late"] = dom_evaluate(
             broker.index.subscriptions[-1].path, events).node_ids
         after = broker.submit("after", document)
-        _assert_rows_match_dom(broker, after, expected, expected)
+        _assert_rows_match_dom(broker, after, expected, expected, events)

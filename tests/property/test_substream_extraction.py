@@ -12,6 +12,12 @@ The documents are serialized and re-parsed first and the oracle runs on
 the *re-parsed* event stream: the generator may produce adjacent text
 siblings, which any parse legally merges, so node ids are only comparable
 on the canonical stream the broker itself will see.
+
+Value tests ``[. = "v"]`` / ``["v" = .]`` on a final element step are only
+decided when the element closes, after its start tag went by: their
+payloads must still span the whole element.  The batches mix them in on
+elements (mixed content, nested text, escaped characters, empty elements)
+and on text, attribute and root carriers.
 """
 
 from hypothesis import HealthCheck, given, settings
@@ -32,6 +38,8 @@ from repro.xmlmodel.stream_serialize import serialize_events
 from repro.xpath.cache import QueryCache
 
 from tests.property.strategies import (
+    TAGS,
+    TEXTS,
     documents,
     forward_absolute_paths,
     reverse_absolute_paths,
@@ -44,8 +52,42 @@ SETTINGS = dict(deadline=None,
 BACKENDS = ("dfa", "expectations")
 CHUNK_SIZES = (1, 7, 64, 10_000)
 
-forward_batches = st.lists(forward_absolute_paths(), min_size=1, max_size=3)
+#: Character data of the value-test documents: escaped on the wire.
+VALUE_TEXTS = TEXTS + ("a&b", "x<y")
+#: Literals: single texts, concatenations (mixed content, nested text) and
+#: the empty string (empty elements).
+LITERALS = VALUE_TEXTS + ("", "xy", "xyz", "xa&b", "yx<y")
+VALUE_SHAPES = (
+    '//{t}[. = "{v}"]',
+    '//{t}["{v}" = .]',
+    '/descendant::{t}/descendant-or-self::*[. = "{v}"]',
+    '//{t}[@id]["{v}" = .]',
+    '//{t}/text()[. = "{v}"]',
+    '//{t}/@id[. = "{v}"]',
+    '/self::node()[. = "{v}"]',
+)
+
+
+def value_tests(literals=st.sampled_from(LITERALS)):
+    return st.builds(lambda shape, tag, value: shape.format(t=tag, v=value),
+                     st.sampled_from(VALUE_SHAPES),
+                     st.sampled_from(TAGS + ("*",)), literals)
+
+forward_batches = st.lists(st.one_of(forward_absolute_paths(), value_tests()),
+                           min_size=1, max_size=3)
 reverse_batches = st.lists(reverse_absolute_paths(), min_size=1, max_size=2)
+value_documents = documents(texts=VALUE_TEXTS, attributes=True)
+
+
+@st.composite
+def value_cases(draw):
+    """A document and value tests whose literals mostly are string values
+    of its own nodes, so that most tests select something."""
+    document = draw(value_documents)
+    present = sorted({node.text_content() for node in document.nodes})
+    literals = st.one_of(st.sampled_from(present), st.sampled_from(LITERALS))
+    return document, draw(st.lists(value_tests(literals), min_size=1,
+                                   max_size=4))
 
 
 def _answer_bytes(events, node_id):
@@ -77,7 +119,9 @@ def _answer_bytes(events, node_id):
     raise AssertionError(f"no node {node_id} in the stream")
 
 
-def _oracle(events, node_ids):
+def payload_oracle(events, node_ids):
+    """The substream payload of ``node_ids``: their answer bytes, in
+    document order."""
     return b"".join(_answer_bytes(events, nid) for nid in sorted(node_ids))
 
 
@@ -93,7 +137,7 @@ def _assert_substream_equals_dom(document, queries):
     for position, query in enumerate(queries):
         index.add(query, key=position)
     expected = {
-        position: _oracle(canonical,
+        position: payload_oracle(canonical,
                           dom_evaluate(index.subscriptions[position].path,
                                        canonical).node_ids)
         for position in range(len(queries))
@@ -110,10 +154,29 @@ def _assert_substream_equals_dom(document, queries):
             assert session.registry_sizes()["open_capture_windows"] == 0
 
 
-@given(document=documents(), queries=forward_batches)
+@given(document=st.one_of(documents(), value_documents),
+       queries=forward_batches)
 @settings(max_examples=30, **SETTINGS)
 def test_substream_equals_dom_answer_subtrees(document, queries):
     _assert_substream_equals_dom(document, queries)
+
+
+@given(case=value_cases())
+@settings(max_examples=30, **SETTINGS)
+def test_substream_equals_dom_on_value_tests(case):
+    """Only value tests, on documents where their literals occur."""
+    _assert_substream_equals_dom(*case)
+
+
+def test_a_value_test_decided_at_the_close_captures_the_whole_element():
+    """``//b[. = "x"]`` is decided at ``</b>``; the payload is still
+    ``<b>x</b>``, beside a start-tag match on the same element."""
+    document = Document.from_tree(element(
+        "a", element("b", text("x")), element("b", element("c", text("x"))),
+        element("b"), element("b", text("y"), element("b", text("x")))))
+    _assert_substream_equals_dom(document, [
+        '//b[. = "x"]', '//b["" = .]', "//b", '//b[. = "yx"]',
+        '//*[. = "x"]', '/self::node()[. = "xxyx"]'])
 
 
 @given(document=documents(), queries=reverse_batches)
