@@ -16,7 +16,9 @@ of Section 4 that removes every reverse axis from an absolute location path.
   rules together with counterexample finders,
 * :mod:`repro.rewrite.variables` — the variable-based extension for relative
   paths and RR joins,
-* :mod:`repro.rewrite.simplify` — optional cosmetic clean-ups.
+* :mod:`repro.rewrite.simplify` — the normalizer the compile path runs on
+  every rewritten query (sound rules only: unsatisfiable arms dropped,
+  ``self`` steps folded, arms merged).
 """
 
 from repro.rewrite.rare import (

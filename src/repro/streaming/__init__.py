@@ -48,6 +48,12 @@ the element that carries the attribute.  Attribute *nodes* are numbered right af
 their owner element in document order, so streamed ids agree 1:1 with the
 DOM evaluator's positions.
 
+A lone value test ``[. = "v"]`` is split off in the same place: compared
+at once on a text or attribute node, and on a final element step decided
+at the close by one lookup of the element's value in its collector's
+literal table (the DFA registers a whole group of such gates at once).
+Elsewhere (a non-final step, the root) it is a condition like any join.
+
 Architecture: pull vs push
 --------------------------
 

@@ -148,7 +148,8 @@ class _Gate:
     with no remaining steps re-checks only the final step's qualifiers, and
     one on NFA state 0 carrying a whole member hands over at the root.
     ``split`` is ``qualifiers`` split once into the attribute predicate the
-    engine decides from the start tag and the rest (see
+    engine decides from the start tag, the rest, and the literal of a lone
+    ``[. = "lit"]`` (see
     :func:`repro.xpath.analysis.split_attribute_qualifiers`).
     """
 
@@ -166,6 +167,15 @@ class _Gate:
         """The ``(a, lit)`` pair a DFA state keys this gate by, if any."""
         predicate = self.split[0]
         return predicate.index_key if predicate is not None else None
+
+    @property
+    def literal_key(self) -> Optional[str]:
+        """The literal a DFA state groups this gate by, if any: a final
+        step (nothing remaining) whose only non-attribute qualifier is
+        ``[. = "lit"]``, and no ``index_key`` to probe first."""
+        if self.remaining or self.index_key is not None:
+            return None
+        return self.split[2]
 
 
 # ---------------------------------------------------------------------------
@@ -217,10 +227,11 @@ class _NfaBuilder:
         #: appear in any previously materialized DFA set, so the
         #: intersection ignores them naturally.
         self.touched: set = set()
-        #: Whether any attribute edge / value-indexed gate exists yet — set
-        #: where the rule is created, never cleared (fragments only grow).
+        #: Whether any attribute edge / value-indexed / literal gate exists
+        #: yet — set where created, never cleared (fragments only grow).
         self.has_attribute_rules = False
         self.has_value_gates = False
+        self.has_literal_gates = False
 
     def _new(self) -> int:
         self.states.append(_NfaState())
@@ -336,15 +347,22 @@ def _member_plans(path: PathExpr):
             yield alternatives, split[1], split[2]
 
 
-def value_indexed_gates(paths: Iterable[PathExpr]) -> int:
-    """How many gates of these member paths a DFA state keys by value."""
-    count = 0
+def indexed_gate_counts(paths: Iterable[PathExpr]) -> Tuple[int, int]:
+    """How many gates of these member paths a DFA state keys by an
+    ``@a = "lit"`` conjunct, and how many it groups by a final
+    ``[. = "lit"]``."""
+    by_value = by_literal = 0
     for path in paths:
-        gates = {_Gate(0, tuple(qualifiers), tuple(remaining))
+        plans = [(_Gate(0, tuple(qualifiers), tuple(remaining)), alternatives)
                  for alternatives, qualifiers, remaining in _member_plans(path)
-                 if alternatives and qualifiers}
-        count += sum(gate.index_key is not None for gate in gates)
-    return count
+                 if alternatives and qualifiers]
+        by_value += len({gate for gate, _ in plans
+                         if gate.index_key is not None})
+        # The start state groups no literals (see _accept_info).
+        by_literal += len({gate for gate, alternatives in plans
+                           if gate.literal_key is not None
+                           and any(alternatives)})
+    return by_value, by_literal
 
 
 def _compile_path(builder: _NfaBuilder, ordinal: int,
@@ -371,6 +389,8 @@ def _compile_path(builder: _NfaBuilder, ordinal: int,
                 if gate.index_key is not None:
                     gates = end.value_gates
                     builder.has_value_gates = True
+                elif gate.literal_key is not None:
+                    builder.has_literal_gates = True
                 if gate not in gates:
                     gates.append(gate)
                     builder.touched.add(end_index)
@@ -401,17 +421,19 @@ class _DfaState:
     """
 
     __slots__ = ("nfa", "deliver", "gates", "by_value", "fires", "arm_sib",
-                 "arm_fol", "elem", "attr", "text")
+                 "arm_fol", "elem", "attr", "text", "by_literal")
 
     def __init__(self, nfa: FrozenSet[int], accept_info):
         self.nfa = nfa
         #: Deliver ordinals and gates (merged, deduped) — the gates with an
-        #: ``@a = "lit"`` conjunct keyed by ``(a, lit)`` in ``by_value``
-        #: (``None`` if there are none), the rest in ``gates`` — whether a
-        #: node here delivers or opens anything, and the windows armed when
-        #: such a node closes.
-        (self.deliver, self.gates, self.by_value, self.fires, self.arm_sib,
-         self.arm_fol) = accept_info
+        #: ``@a = "lit"`` conjunct keyed by ``(a, lit)`` in ``by_value``,
+        #: those with a ``literal_key`` in ``by_literal``, one ``(attribute
+        #: predicate, {lit: ordinals}, gate count)`` group per predicate
+        #: (each ``None`` if empty), the rest in ``gates`` — whether a node
+        #: here delivers or opens anything, and the windows armed when such
+        #: a node closes.
+        (self.deliver, self.gates, self.by_value, self.by_literal, self.fires,
+         self.arm_sib, self.arm_fol) = accept_info
         #: Cached successors: by element tag, by attribute name, on text.
         self.elem: Dict[str, "_DfaState"] = {}
         self.attr: Dict[str, "_DfaState"] = {}
@@ -510,8 +532,9 @@ class SubscriptionAutomaton:
             self._forget()
             return
         for state in affected:
-            (state.deliver, state.gates, state.by_value, state.fires,
-             state.arm_sib, state.arm_fol) = self._accept_info(state.nfa)
+            (state.deliver, state.gates, state.by_value, state.by_literal,
+             state.fires, state.arm_sib,
+             state.arm_fol) = self._accept_info(state.nfa)
             self._cached -= state.forget_transitions()
         self._counts["targeted_invalidations"] += 1
         if churn is not None:
@@ -519,14 +542,30 @@ class SubscriptionAutomaton:
 
     # -- state interning ---------------------------------------------------
     def _accept_info(self, key: FrozenSet[int]):
-        """``(deliver, gates, by_value, fires, arm_sib, arm_fol)`` of an
-        NFA-state set, merged and deduped in deterministic order (see
-        :class:`_DfaState`).  Computed when a DFA state is interned, and
-        recomputed in place by a targeted invalidation when an incremental
-        insertion changed a member state's rules."""
+        """``(deliver, gates, by_value, by_literal, fires, arm_sib,
+        arm_fol)`` of an NFA-state set, merged and deduped in deterministic
+        order (see :class:`_DfaState`).  Computed when a DFA state is
+        interned, and recomputed in place by a targeted invalidation when an
+        incremental insertion changed a member state's rules.  The start
+        state groups no literals: the root never closes."""
         members = [self._nfa[q] for q in sorted(key)]
         deliver = tuple(dict.fromkeys(o for m in members for o in m.deliver))
         gates = tuple(dict.fromkeys(g for m in members for g in m.gates))
+        by_literal = None
+        if self._builder.has_literal_gates and 0 not in key:
+            groups, rest = {}, []
+            for gate in gates:
+                literal = gate.literal_key
+                if literal is None:
+                    rest.append(gate)
+                    continue
+                table = groups.setdefault(gate.split[0], {})
+                table[literal] = table.get(literal, ()) + (gate.ordinal,)
+            if groups:
+                gates = tuple(rest)
+                by_literal = tuple(
+                    (predicate, table, sum(map(len, table.values())))
+                    for predicate, table in groups.items())
         by_value = None
         if self._builder.has_value_gates:
             by_value = {}
@@ -536,7 +575,8 @@ class SubscriptionAutomaton:
                 by_value[pair] = by_value.get(pair, ()) + (gate,)
             by_value = by_value or None
         return (
-            deliver, gates, by_value, bool(deliver or gates or by_value),
+            deliver, gates, by_value, by_literal,
+            bool(deliver or gates or by_value or by_literal),
             frozenset(w for m in members for w in m.arm_sib),
             frozenset(w for m in members for w in m.arm_fol))
 
@@ -736,7 +776,9 @@ class AutomatonRun:
         gate's qualifiers and remaining steps.  Value-indexed gates are
         probed once per attribute of the node: a gate whose ``(a, lit)``
         pair is not on the start tag has a false attribute predicate, and
-        opening it would do nothing.  Everything converges on
+        opening it would do nothing.  A literal group is registered whole
+        with the core (decided at the element's close) or, on text and
+        attributes, looked up now.  Everything converges on
         ``core.add_candidate`` — pure structural accepts directly, gated
         members once their remainder resolves — which is also where
         substream capture windows open
@@ -763,3 +805,15 @@ class AutomatonRun:
                 core.step_matched(gate.split, gate.remaining, sink,
                                   node_id, depth, is_element, tag, value,
                                   (), is_attribute, attributes)
+        if state.by_literal is not None:
+            for predicate, table, size in state.by_literal:
+                if predicate is not None:
+                    core.stats.predicates_tested += 1
+                    if not predicate.holds(attributes):
+                        continue
+                if is_element:
+                    core.defer_literal_group(node_id, table, size)
+                else:
+                    for ordinal in table.get(value, ()):
+                        core.add_candidate(sink_of(ordinal), node_id, depth,
+                                           False, value, ())

@@ -45,7 +45,7 @@ key is skipped when its member's capture is emitted.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, replace
 from typing import Callable, Dict, Hashable, List, Optional, Tuple
 
 from repro.xmlmodel.events import EndElement, Event, StartElement, Text
@@ -190,7 +190,9 @@ class _LeafCapture:
 
 #: A pending claim: ``(ordinal, entry)`` recorded by ``add_candidate``
 #: during an element's StartElement processing, turned into a window by
-#: ``SubtreeTee.element_start`` before the event is appended.
+#: ``SubtreeTee.element_start`` before the event is appended.  ``(None,
+#: None)`` claims a *held* window; claims recorded at the element's close
+#: take it over in ``SubtreeTee.element_end``.
 Claim = Tuple[int, object]
 
 
@@ -258,8 +260,12 @@ class SubtreeTee:
             self.region.events.append(event)
 
     # -- closing windows ---------------------------------------------------
-    def element_end(self, event: EndElement) -> List[_Capture]:
-        """Tee one EndElement; close and return the windows it ends."""
+    def element_end(self, event: EndElement,
+                    claims: List[Claim] = ()) -> List[_Capture]:
+        """Tee one EndElement; close and return the windows it ends.  A
+        *held* window (no member, claimed first) becomes one capture per
+        entry of ``claims`` — the matches the close decided — and empties
+        it; nothing matched, nothing is captured."""
         region = self.region
         if region is None:
             return ()
@@ -275,6 +281,11 @@ class SubtreeTee:
             # Last window gone: drop the shared buffer (closed captures
             # keep their region alive by reference) and disengage the tee.
             self.region = None
+        if closed[0].ordinal is None:
+            held = closed.pop(0)
+            closed.extend(replace(held, ordinal=ordinal, entry=entry)
+                          for ordinal, entry in claims)
+            claims.clear()
         return closed
 
     def finish(self) -> List[_Capture]:

@@ -40,8 +40,8 @@ from repro.streaming.automaton import (
     DEFAULT_TRANSITION_CAP,
     SubscriptionAutomaton,
     compile_subscription_automaton,
+    indexed_gate_counts,
     resolve_backend,
-    value_indexed_gates,
 )
 from repro.streaming.delivery import Delivery, VerdictDelivery
 from repro.streaming.matcher import MultiMatcher, MultiMatchResult, Subscription
@@ -319,9 +319,10 @@ class SubscriptionIndex:
         """Leading-step overlap of the live subscriptions (see
         ``analysis.prefix_sharing_summary``), plus the live ``members``
         (distinct compiled paths), ``max_keys_per_member``, the distinct
-        ``attribute_predicates`` their steps decide from start tags, and
-        their ``value_indexed_gates`` (gates a DFA state keys by an
-        ``@a = "lit"`` conjunct)."""
+        ``attribute_predicates`` their steps decide from start tags, their
+        ``value_indexed_gates`` (gates a DFA state keys by an
+        ``@a = "lit"`` conjunct) and ``literal_indexed_gates`` (gates a DFA
+        state groups by a final ``[. = "lit"]``, decided at the close)."""
         summary = analysis.prefix_sharing_summary(
             subscription.path for subscription in self.subscriptions)
         summary["members"] = len(self._member_of)
@@ -330,7 +331,8 @@ class SubscriptionIndex:
         summary["attribute_predicates"] = len(
             {step.attribute_split[0] for path in self._member_of
              for step in analysis.iter_steps(path)} - {None})
-        summary["value_indexed_gates"] = value_indexed_gates(self._member_of)
+        summary["value_indexed_gates"], summary["literal_indexed_gates"] = (
+            indexed_gate_counts(self._member_of))
         return summary
 
     # -- matching ----------------------------------------------------------

@@ -57,6 +57,9 @@ How it works
 * Attribute-only qualifiers (``[@a]``, ``[@a = "v"]``, ``and``/``or`` of
   them) are decided from the start tag the moment their step matches; a
   false one ends the match there.
+* A final-step element match whose only other qualifier is
+  ``[. = "lit"]`` waits under its literal in the element's string-value
+  collector; the closed value's one lookup delivers the matching waiters.
 * Other qualifiers and joins become *conditions* attached to candidate
   matches.  Existence qualifiers spawn sub-expectations anchored at the
   candidate; ``==`` joins collect node ids on both sides; ``=`` joins
@@ -286,7 +289,9 @@ class _ValueMatchCondition(_Condition):
     """A ``path = "literal"`` join: some surviving entry has that value.
 
     A bare ``[@id = "42"]`` never gets here — it is an attribute predicate,
-    decided from the start tag when its step matches.  Attribute operands
+    decided from the start tag when its step matches — nor, but on a
+    non-final step or the root, a lone ``[. = "42"]`` (see
+    :meth:`MultiMatcher.step_matched`).  Attribute operands
     inside mixed qualifiers (``[@id = "42" or child::b]``) do: their value
     arrives complete on the StartElement event, so the sink entry's value
     is final the moment the attribute sweep delivers it.
@@ -527,14 +532,17 @@ class _DispatchIndex:
 
 
 class _ValueCollector:
-    """Accumulates the string value of a matched element for ``=`` joins."""
+    """One node's string value, collected until it closes for the entries
+    of ``=`` operands and the ``[. = "lit"]`` tests deferred to the close:
+    ``{lit: [(sink, conditions)]}`` and DFA groups ``{lit: ordinals}``."""
 
-    __slots__ = ("entry", "anchor_depth", "parts")
+    __slots__ = ("parts", "entries", "literals", "groups")
 
-    def __init__(self, entry: _Entry, anchor_depth: int):
-        self.entry = entry
-        self.anchor_depth = anchor_depth
+    def __init__(self):
         self.parts: List[str] = []
+        self.entries: List[_Entry] = []
+        self.literals: Dict[str, list] = {}
+        self.groups: List[Dict[str, Tuple[int, ...]]] = []
 
 
 # ---------------------------------------------------------------------------
@@ -682,9 +690,9 @@ class MultiMatcher:
         #: Waiting + active expectations (expired ones are unlinked eagerly).
         self._live = 0
         self._serial = 0
-        #: Pending element string-value collectors, keyed by the element
-        #: whose close event finalizes them.
-        self._collectors_by_node: Dict[int, List[_ValueCollector]] = {}
+        #: Pending string-value collectors, one per node, keyed by the
+        #: element whose close event finalizes it (the root's at the end).
+        self._collectors_by_node: Dict[int, _ValueCollector] = {}
         #: Shared sinks of the absolute sub-paths, keyed by
         #: ``(operand, collect_values)``.
         self._absolute_sinks: Dict[Tuple[PathExpr, bool], _Sink] = {}
@@ -805,50 +813,17 @@ class MultiMatcher:
 
         They must be matched from the document root over the *whole* stream
         (a candidate discovered mid-stream could not see earlier matches), so
-        they are registered once and shared by every condition that mentions
-        them.
+        they are registered once — keyed by ``(operand, collect_values)`` —
+        and shared by every condition that mentions them.  ``iter_steps``
+        reaches every qualifier, those of the operands included.
         """
-        for member in iter_union_members(expr):
-            if isinstance(member, Bottom):
-                continue
-            if not isinstance(member, LocationPath):
-                continue
-            for step in member.steps:
-                for qual in step.qualifiers:
-                    self._register_absolute_in_qualifier(qual)
-
-    def _register_absolute_in_qualifier(self, qual: Qualifier) -> None:
-        if isinstance(qual, PathQualifier):
-            self._register_absolute_operand(qual.path, collect_values=False)
-        elif isinstance(qual, (AndExpr, OrExpr)):
-            self._register_absolute_in_qualifier(qual.left)
-            self._register_absolute_in_qualifier(qual.right)
-        elif isinstance(qual, Comparison):
-            collect = qual.op == "="
-            self._register_absolute_operand(qual.left, collect_values=collect)
-            self._register_absolute_operand(qual.right, collect_values=collect)
-
-    def _register_absolute_operand(self, operand: PathExpr,
-                                   collect_values: bool) -> None:
-        if isinstance(operand, Literal):
-            # Literals are constants, not matched sub-paths.
-            return
-        if not analysis.is_absolute(operand):
-            # A relative operand is matched from its carrier when the carrier
-            # is discovered; but it may itself mention absolute sub-paths in
-            # its own qualifiers.
-            for member in iter_union_members(operand):
-                if isinstance(member, LocationPath):
-                    for step in member.steps:
-                        for qual in step.qualifiers:
-                            self._register_absolute_in_qualifier(qual)
-            return
-        key = (operand, collect_values)
-        if key in self._absolute_sinks:
-            return
-        self._absolute_sinks[key] = _Sink(collect_values=collect_values)
-        # Absolute sub-paths can themselves mention further absolute paths.
-        self._register_absolute_subpaths(operand)
+        sinks = self._absolute_sinks
+        for step in analysis.iter_steps(expr):
+            for qual in step.qualifiers:
+                for key in analysis.qualifier_operands(qual):
+                    if (key not in sinks and analysis.is_absolute(key[0])
+                            and not isinstance(key[0], Literal)):
+                        sinks[key] = _Sink(collect_values=key[1])
 
     # -- event loop --------------------------------------------------------
     def process(self, events: Iterable[Event]):
@@ -903,16 +878,16 @@ class MultiMatcher:
             if self._tee is not None:
                 self._tee.text(event)
             if self._collectors_by_node:
-                for collectors in self._collectors_by_node.values():
-                    for collector in collectors:
-                        collector.parts.append(event.value)
-                        self.stats.buffered_value_chars += len(event.value)
+                for collector in self._collectors_by_node.values():
+                    collector.parts.append(event.value)
+                    self.stats.buffered_value_chars += len(event.value)
         elif isinstance(event, EndElement):
             self._end_node()
             if self._tee is not None:
-                # Close after _end_node so value collectors anchored at this
-                # element are finalized before emission decisions are made.
-                for capture in self._tee.element_end(event):
+                # After _end_node: its value is final, and the pending
+                # claims are the literal tests the close decided.
+                for capture in self._tee.element_end(event,
+                                                     self._pending_claims):
                     self._capture_closed(capture)
         elif isinstance(event, EndDocument):
             self._finish()
@@ -1081,11 +1056,48 @@ class MultiMatcher:
                     self._dispatch.insert(expectation)
                 else:
                     self._expire(expectation)
-        # Finalize value collectors anchored at the closed element.
-        collectors = self._collectors_by_node.pop(node_id, None)
-        if collectors is not None:
-            for collector in collectors:
-                collector.entry.value = "".join(collector.parts)
+        # Finalize the value collector anchored at the closed element.
+        collector = self._collectors_by_node.pop(node_id, None)
+        if collector is not None:
+            self._close_collector(collector, node_id, closed.depth)
+
+    def _close_collector(self, collector: _ValueCollector, node_id: int,
+                         depth: int) -> None:
+        """The element's value is final: set the waiting entries', deliver
+        the ``[. = "lit"]`` tests it satisfies (one lookup per table)."""
+        value = "".join(collector.parts)
+        for entry in collector.entries:
+            entry.value = value
+        if collector.literals:
+            for sink, conditions in collector.literals.get(value, ()):
+                self.add_candidate(sink, node_id, depth, True, value,
+                                   conditions)
+        for group in collector.groups:
+            for ordinal in group.get(value, ()):
+                self.add_candidate(self._structural_sink(ordinal), node_id,
+                                   depth, True, value, ())
+        if self._event_entries:
+            self._settle_event_conditions()
+
+    def _collector(self, node_id: int, literal: bool = False
+                   ) -> _ValueCollector:
+        """The node's collector.  In substream mode the first ``literal``
+        test on an element claims its *held* capture window (a claim with
+        no member), which the close gives the matched members, or drops."""
+        collector = self._collectors_by_node.get(node_id)
+        if collector is None:
+            collector = self._collectors_by_node[node_id] = _ValueCollector()
+        if literal and self._tee is not None and not (collector.literals
+                                                      or collector.groups):
+            self._pending_claims.insert(0, (None, None))
+        return collector
+
+    def defer_literal_group(self, node_id: int,
+                            group: Dict[str, Tuple[int, ...]],
+                            size: int) -> None:
+        """Decide a DFA literal group of ``size`` gates at the close."""
+        self._collector(node_id, True).groups.append(group)
+        self.stats.literal_tests_deferred += size
 
     def _expire(self, expectation: _Expectation) -> None:
         """Retire an expectation, unlinking it from index and watchers."""
@@ -1151,9 +1163,9 @@ class MultiMatcher:
 
     def _finish(self) -> None:
         self._finished = True
-        for collectors in self._collectors_by_node.values():
-            for collector in collectors:
-                collector.entry.value = "".join(collector.parts)
+        for collector in self._collectors_by_node.values():
+            for entry in collector.entries:
+                entry.value = "".join(collector.parts)
         self._collectors_by_node = {}
         if self._tee is not None:
             # Close whole-document windows before the tee is rewound — after
@@ -1356,7 +1368,9 @@ class MultiMatcher:
         turn the other qualifiers into conditions (after the inherited
         ``conditions``), then continue with the ``remaining`` steps anchored
         at the node — or, when none are left, deliver it into ``sink``.
-        ``split`` is the step's ``attribute_split`` (a gate's ``split``).
+        ``split`` is the step's ``attribute_split`` (a gate's ``split``);
+        its lone ``[. = "lit"]`` is compared now on text and attributes and
+        waits for the close of a final-step element.
 
         The one hand-off for every kind of step match: dispatched elements
         and text, the attribute sweep, ``self``/``descendant-or-self``
@@ -1365,11 +1379,22 @@ class MultiMatcher:
         so its attribute tuple is at hand: a false predicate ends the match
         here — no condition, sink, expectation or entry is built.
         """
-        predicate, qualifiers = split
+        predicate, qualifiers, literal = split
         if predicate is not None:
             self.stats.predicates_tested += 1
             if not predicate.holds(attributes):
                 return
+        if literal is not None:
+            if is_element:
+                if not remaining:
+                    self.stats.literal_tests_deferred += 1
+                    self._collector(node_id, True).literals.setdefault(
+                        literal, []).append((sink, conditions))
+                    return
+            elif value is not None:
+                if value != literal:
+                    return
+                qualifiers = ()
         if qualifiers:
             conditions += tuple(
                 self._build_condition(qual, node_id, depth, is_element, tag,
@@ -1395,16 +1420,14 @@ class MultiMatcher:
         if sink.add(entry):
             self.stats.candidates_buffered += 1
             if sink.collect_values:
-                if is_element or value is None:
-                    # Elements — and the document root, the only non-element
-                    # candidate without an own value — take the
-                    # concatenation of their descendant text as string
-                    # value; the root's collector is finalized at end of
-                    # stream (it has no close event).
-                    self._collectors_by_node.setdefault(node_id, []).append(
-                        _ValueCollector(entry, depth))
+                if value is None:
+                    # Elements before their close — and the document root —
+                    # take the concatenation of their descendant text as
+                    # string value; the root's collector is finalized at end
+                    # of stream (it has no close event).
+                    self._collector(node_id).entries.append(entry)
                 else:
-                    entry.value = value or ""
+                    entry.value = value
             if sink.exists_only and conditions:
                 # Conditioned entries get one more look once the current
                 # event's attribute sweep has run (_settle_event_conditions).
@@ -1424,7 +1447,8 @@ class MultiMatcher:
         expectations, DFA accepts (structural members included), gate
         remainders and the attribute sweep — so this one hook sees them
         all.  Elements become pending claims (their window opens when the
-        current StartElement reaches the tee); text and attribute matches
+        current StartElement reaches the tee, or — decided at the close —
+        takes over the element's held window); text and attribute matches
         are leaves spanning no events, rendered immediately; the document
         root opens a whole-document window.
         """

@@ -63,6 +63,9 @@ class StreamStats:
     #: decided inline from a matched node's start tag: one per decision,
     #: true or false; a false one builds no condition at all.
     predicates_tested: int = 0
+    #: Final-step ``[. = "lit"]`` tests on elements decided at the close
+    #: instead of becoming conditions (on the DFA: per gate of a group).
+    literal_tests_deferred: int = 0
     #: Candidate matches buffered awaiting qualifier/join resolution.
     candidates_buffered: int = 0
     #: Characters of text buffered for value (``=``) joins.

@@ -23,6 +23,7 @@ from repro.xpath.ast import (
     Comparison,
     Literal,
     LocationPath,
+    NodeTest,
     NodeTestKind,
     OrExpr,
     PathExpr,
@@ -232,6 +233,21 @@ def _iter_comparisons_in_qualifier(qual: Qualifier) -> Iterator[Comparison]:
         yield qual
         yield from iter_comparisons(qual.left)
         yield from iter_comparisons(qual.right)
+    else:  # pragma: no cover - defensive
+        raise TypeError(f"not a qualifier: {qual!r}")
+
+
+def qualifier_operands(qual: Qualifier) -> Iterator[Tuple[PathExpr, bool]]:
+    """``(path, compared by value)`` for each path a qualifier tests — its
+    existence tests and join operands, not the qualifiers of their steps."""
+    if isinstance(qual, PathQualifier):
+        yield qual.path, False
+    elif isinstance(qual, (AndExpr, OrExpr)):
+        yield from qualifier_operands(qual.left)
+        yield from qualifier_operands(qual.right)
+    elif isinstance(qual, Comparison):
+        yield qual.left, qual.op == "="
+        yield qual.right, qual.op == "="
     else:  # pragma: no cover - defensive
         raise TypeError(f"not a qualifier: {qual!r}")
 
@@ -630,15 +646,34 @@ def attribute_predicate(qual: Qualifier) -> Optional[AttributePredicate]:
     return None
 
 
+#: The operand ``.`` of a value test ``[. = "lit"]``.
+_SELF_NODE = LocationPath(False, (Step(Axis.SELF,
+                                       NodeTest(NodeTestKind.NODE)),))
+
+
+def literal_self_test(qual: Qualifier) -> Optional[str]:
+    """The literal of a ``[. = "lit"]`` / ``["lit" = .]`` qualifier — the
+    carrier's own string value against a constant — or ``None``."""
+    if not isinstance(qual, Comparison) or qual.op != "=":
+        return None
+    if isinstance(qual.right, Literal) and qual.left == _SELF_NODE:
+        return qual.right.value
+    if isinstance(qual.left, Literal) and qual.right == _SELF_NODE:
+        return qual.left.value
+    return None
+
+
 def split_attribute_qualifiers(qualifiers: Tuple[Qualifier, ...]):
-    """``(predicate, rest)``: the conjunction of the attribute-only
-    qualifiers (``None`` if there are none) and the others, in order.
+    """``(predicate, rest, literal)``: the conjunction of the attribute-only
+    qualifiers (``None`` if there are none), the others in order, and —
+    when ``rest`` is exactly one ``[. = "lit"]`` — its literal, which the
+    streaming engine decides once the carrier's string value is known.
 
     Compute once per compiled step (``Step.attribute_split``) or gate,
     never per event.
     """
     if not qualifiers:
-        return None, ()
+        return None, (), None
     predicates, rest = [], []
     for qual in qualifiers:
         predicate = attribute_predicate(qual)
@@ -646,11 +681,12 @@ def split_attribute_qualifiers(qualifiers: Tuple[Qualifier, ...]):
             rest.append(qual)
         else:
             predicates.append(predicate)
+    literal = literal_self_test(rest[0]) if len(rest) == 1 else None
     if not predicates:
-        return None, tuple(qualifiers)
+        return None, tuple(qualifiers), literal
     predicate = (predicates[0] if len(predicates) == 1
                  else AttributePredicate("and", parts=tuple(predicates)))
-    return predicate, tuple(rest)
+    return predicate, tuple(rest), literal
 
 
 # ---------------------------------------------------------------------------

@@ -194,7 +194,8 @@ class Step:
 
     @cached_property
     def attribute_split(self):
-        """``(attribute predicate or None, other qualifiers)`` — see
+        """``(attribute predicate or None, other qualifiers, literal of a
+        lone [. = "lit"] or None)`` — see
         :func:`repro.xpath.analysis.split_attribute_qualifiers`; computed
         once per step object, read on every match of the step."""
         from repro.xpath.analysis import split_attribute_qualifiers

@@ -60,8 +60,11 @@ class QueryCache:
 
         String queries are parsed; queries containing reverse axes are
         rewritten with :func:`repro.rewrite.remove_reverse_axes` using the
-        given rule set.  Results are memoized, so compiling the same
-        subscription text twice costs one dictionary lookup.
+        given rule set, then normalized (:func:`repro.rewrite.simplify`:
+        unsatisfiable arms dropped, ``self`` steps folded, arms merged) —
+        forward-only queries are returned exactly as parsed.  Results are
+        memoized, so compiling the same subscription text twice costs one
+        dictionary lookup.
         """
         key = (query, ruleset)
         cached = self._entries.get(key)
@@ -71,11 +74,11 @@ class QueryCache:
             return cached
         self._misses += 1
         # Imported lazily: repro.rewrite itself imports repro.xpath.
-        from repro.rewrite import remove_reverse_axes
+        from repro.rewrite import remove_reverse_axes, simplify
 
         path = parse_xpath(query) if isinstance(query, str) else query
         if has_reverse_steps(path):
-            path = remove_reverse_axes(path, ruleset=ruleset)
+            path = simplify(remove_reverse_axes(path, ruleset=ruleset))
         self._entries[key] = path
         if len(self._entries) > self.maxsize:
             self._entries.popitem(last=False)

@@ -20,6 +20,7 @@ from repro.streaming import (
     VerdictDelivery,
     stream_evaluate,
 )
+from repro.streaming.dom_baseline import dom_evaluate
 from repro.workloads.queries import attribute_subscription_workload
 from repro.xmlmodel.builder import build_document, document_events
 from repro.xmlmodel.document import Document, element, text
@@ -269,14 +270,15 @@ class TestAttributePredicates:
 
     def test_a_step_splits_once_into_predicate_and_rest(self):
         step = parse_xpath('/x[@a = "1"][child::y][@b]').steps[-1]
-        predicate, rest = step.attribute_split
+        predicate, rest, literal = step.attribute_split
         assert predicate == analysis.AttributePredicate(
             "and", parts=(analysis.AttributePredicate("eq", "a", "1"),
                           analysis.AttributePredicate("has", "b")))
         assert predicate.index_key == ("a", "1")
         assert rest == step.qualifiers[1:2]
+        assert literal is None
         assert step.attribute_split is step.attribute_split
-        assert parse_xpath("/x").steps[-1].attribute_split == (None, ())
+        assert parse_xpath("/x").steps[-1].attribute_split == (None, (), None)
 
     def test_predicates_tested_counts_inline_decisions(self, backend):
         events = list(iter_events(
@@ -311,6 +313,61 @@ class TestAttributePredicates:
         assert index.sharing_summary()["attribute_predicates"] == 2
         assert SubscriptionIndex().sharing_summary()["value_indexed_gates"] \
             == 0
+
+
+class TestValueTests:
+    """``[. = "lit"]`` on a final element step: decided at the close."""
+
+    QUERIES = {
+        "a": '//price[@currency][. = "9"]',
+        "b": '//price[@currency]["3" = .]',
+        "c": '//price[. = "9"]',
+        "d": '//price[@currency = "USD"][. = "9"]',
+        "e": '//price[. = "9"]/text()',
+        "f": '//price/text()[. = "9"]',
+        "g": '/self::node()[. = "9"]',
+    }
+    FEED = ('<feed><price currency="USD">9</price><price>9</price>'
+            '<price currency="EUR">3</price></feed>')
+
+    def test_a_split_carries_the_literal(self):
+        step = parse_xpath('/x[@a][. = "1"]').steps[-1]
+        assert step.attribute_split == (
+            analysis.AttributePredicate("has", "a"), step.qualifiers[1:],
+            "1")
+        for query in ('/x["1" = .]', '/x[. = "1"][@a = "2"]'):
+            assert parse_xpath(query).steps[-1].attribute_split[2] == "1"
+        for query in ('/x[. = "1"][child::y]', '/x[. = /y]',
+                      '/x[child::y = "1"]', "/x[. == self::node()]"):
+            assert parse_xpath(query).steps[-1].attribute_split[2] is None
+
+    def test_literal_tests_deferred_counts_each_registration(self, backend):
+        events = list(iter_events(self.FEED))
+        result = SubscriptionIndex(self.QUERIES).evaluate(events,
+                                                          backend=backend)
+        assert {row.key: row.node_ids for row in result} == {
+            "a": [2], "b": [7], "c": [2, 5], "d": [2], "e": [4, 6],
+            "f": [4, 6], "g": []}
+        assert {row.key: row.node_ids for row in result} == {
+            key: dom_evaluate(query, events).node_ids
+            for key, query in self.QUERIES.items()}
+        # Deferred: a and b on the two prices with a currency, c on all
+        # three, d on the USD one.  e's test is on a non-final step, f's on
+        # a text node, g's on the root: those stay conditions or are
+        # compared at once.
+        assert result.stats.literal_tests_deferred == 8
+        # e builds one condition per price, g one on the root.
+        assert result.stats.conditions_created == 4
+
+    def test_sharing_summary_counts_literal_indexed_gates(self):
+        summary = SubscriptionIndex(self.QUERIES).sharing_summary()
+        # a, b and c (f's text() gate too); d is keyed by ("currency",
+        # "USD") instead, e's test is not on its final step, and g's gate
+        # sits on the start state.
+        assert summary["literal_indexed_gates"] == 4
+        assert summary["value_indexed_gates"] == 1
+        assert SubscriptionIndex().sharing_summary()[
+            "literal_indexed_gates"] == 0
 
 
 # ---------------------------------------------------------------------------

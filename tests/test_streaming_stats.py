@@ -352,7 +352,9 @@ def test_repeated_queries_do_the_work_of_their_distinct_set(
 #: Recorded on the two-class single-query matcher, before ``stream_evaluate``
 #: became a one-subscription index session: the single-query door must do
 #: exactly the work it did.  Re-recorded (like ``POOL_GOLDEN``) when
-#: attribute-only qualifiers began to be decided from the start tag.
+#: attribute-only qualifiers began to be decided from the start tag, and
+#: ``buffered_value_chars`` again when a node's text began to be collected
+#: once for everything waiting on its value, not once per waiting entry.
 SINGLE_QUERY_GOLDEN = {
     ("journal", "dfa"): dict(
         events=6720, nodes_seen=4440, attributes_seen=360, max_depth=300,
@@ -360,28 +362,28 @@ SINGLE_QUERY_GOLDEN = {
         expectations_checked=90, dfa_states_materialized=132,
         transition_cache_lookups=2646, transition_cache_hits=2152,
         conditions_created=62, predicates_tested=86,
-        candidates_buffered=420, buffered_value_chars=1244, results=303,
+        candidates_buffered=420, buffered_value_chars=1152, results=303,
         memory_units=435),
     ("journal", "expectations"): dict(
         events=6720, nodes_seen=4440, attributes_seen=360, max_depth=300,
         expectations_created=1183, max_live_expectations=371,
         expectations_checked=3318, conditions_created=68,
         predicates_tested=117, candidates_buffered=1134,
-        buffered_value_chars=1244, results=303, memory_units=1505),
+        buffered_value_chars=1152, results=303, memory_units=1505),
     ("item_feed", "dfa"): dict(
         events=6000, nodes_seen=6120, attributes_seen=2400, max_depth=180,
         expectations_created=81, max_live_expectations=26,
         expectations_checked=135, dfa_states_materialized=136,
         transition_cache_lookups=2848, transition_cache_hits=2524,
         conditions_created=99, predicates_tested=75,
-        candidates_buffered=520, buffered_value_chars=1997, results=322,
+        candidates_buffered=520, buffered_value_chars=1675, results=322,
         memory_units=546),
     ("item_feed", "expectations"): dict(
         events=6000, nodes_seen=6120, attributes_seen=2400, max_depth=180,
         expectations_created=1251, max_live_expectations=341,
         expectations_checked=4221, conditions_created=111,
         predicates_tested=124, candidates_buffered=1953,
-        buffered_value_chars=1997, results=322, memory_units=2294),
+        buffered_value_chars=1675, results=322, memory_units=2294),
 }
 
 
