@@ -17,8 +17,10 @@ class ReproError(Exception):
 class XMLSyntaxError(ReproError):
     """Raised when XML text is not well formed.
 
-    The lightweight tokenizer in :mod:`repro.xmlmodel.parser` raises this
-    with a message containing the byte offset of the offending construct.
+    :class:`repro.xmlmodel.parser.PushTokenizer` sets ``position`` to a byte
+    offset into the UTF-8 input, where expat found the fault, and ends the
+    message with it; ``position`` is ``None`` where no place in the input is
+    at fault.
     """
 
     def __init__(self, message, position=None):

@@ -70,10 +70,11 @@ is already at hand.
 **Push mode** — the *data source* owns the loop and the engine is fed as
 input arrives.  The pieces compose bottom-up:
 
-* :class:`repro.xmlmodel.parser.PushTokenizer` turns arbitrarily chunked
-  ``str``/``bytes`` input into events (``feed(chunk) -> [events]``,
-  ``close() -> [events]``), with chunk boundaries allowed anywhere — inside
-  tags, entities, comments, CDATA, even mid-UTF-8-sequence;
+* :class:`repro.xmlmodel.parser.PushTokenizer`, an adapter over the
+  standard library's expat, turns arbitrarily chunked ``str``/``bytes``
+  input into events (``feed(chunk) -> [events]``, ``close() -> [events]``),
+  with chunk boundaries allowed anywhere — inside tags, entities, comments,
+  CDATA, even mid-UTF-8-sequence;
 * every matcher is itself push-driven (``feed(event)``), so tokenizer output
   can be forwarded directly;
 * :class:`DocumentBroker` packages the loop: ``submit(document_id, chunks)``

@@ -15,8 +15,8 @@ chunks — and must route each one to the standing subscriptions it matches.
   cost is matching alone — not the per-subscription setup a fresh matcher
   pays (``benchmarks/router`` measures it: workload ``feed_small_verdict``);
 * each submitted document is tokenized incrementally with
-  :class:`~repro.xmlmodel.parser.PushTokenizer`, so callers hand over chunks
-  exactly as they arrive;
+  :class:`~repro.xmlmodel.parser.PushTokenizer` (expat, fed chunk by
+  chunk), so callers hand over chunks exactly as they arrive;
 * in verdict-only mode (``delivery=VerdictDelivery()``) a document's session
   halts — and the broker stops tokenizing its remaining chunks — the moment
   every subscription's verdict is decided.

@@ -8,8 +8,9 @@ needs:
 * :mod:`repro.xmlmodel.document` — the :class:`Document` container and a
   convenience builder for constructing documents from nested Python tuples,
 * :mod:`repro.xmlmodel.events` — SAX-like events (immutable slotted values),
-* :mod:`repro.xmlmodel.parser` — a hand-written well-formedness-checking XML
-  tokenizer plus an :mod:`xml.sax` adapter, both producing event streams,
+* :mod:`repro.xmlmodel.parser` — a push tokenizer over the standard
+  library's expat plus an :mod:`xml.sax` adapter, both producing event
+  streams,
 * :mod:`repro.xmlmodel.builder` — event stream ⇄ document conversions,
 * :mod:`repro.xmlmodel.generator` — synthetic document generators used by the
   workloads and benchmarks,

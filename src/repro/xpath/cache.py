@@ -19,6 +19,7 @@ from collections import OrderedDict
 from dataclasses import dataclass
 from typing import Hashable, Tuple, Union as TypingUnion
 
+from repro.errors import RewriteLimitExceeded
 from repro.xpath.analysis import has_reverse_steps
 from repro.xpath.ast import PathExpr
 from repro.xpath.parser import parse_xpath
@@ -62,9 +63,11 @@ class QueryCache:
         rewritten with :func:`repro.rewrite.remove_reverse_axes` using the
         given rule set, then normalized (:func:`repro.rewrite.simplify`:
         unsatisfiable arms dropped, ``self`` steps folded, arms merged) —
-        forward-only queries are returned exactly as parsed.  Results are
-        memoized, so compiling the same subscription text twice costs one
-        dictionary lookup.
+        forward-only queries are returned exactly as parsed.  A query on
+        which RuleSet2 exceeds its rule-application budget is compiled
+        under RuleSet1 instead, and cached under the key asked for.
+        Results are memoized, so compiling the same subscription text twice
+        costs one dictionary lookup.
         """
         key = (query, ruleset)
         cached = self._entries.get(key)
@@ -74,11 +77,19 @@ class QueryCache:
             return cached
         self._misses += 1
         # Imported lazily: repro.rewrite itself imports repro.xpath.
-        from repro.rewrite import remove_reverse_axes, simplify
+        from repro.rewrite import RuleSet2, remove_reverse_axes, resolve_ruleset, simplify
 
         path = parse_xpath(query) if isinstance(query, str) else query
         if has_reverse_steps(path):
-            path = simplify(remove_reverse_axes(path, ruleset=ruleset))
+            try:
+                rewritten = remove_reverse_axes(path, ruleset=ruleset)
+            except RewriteLimitExceeded:
+                # RuleSet2 is exponential in the worst case (Theorem 4.2),
+                # RuleSet1 linear (Theorem 4.1).
+                if not isinstance(resolve_ruleset(ruleset), RuleSet2):
+                    raise
+                rewritten = remove_reverse_axes(path, ruleset="ruleset1")
+            path = simplify(rewritten)
         self._entries[key] = path
         if len(self._entries) > self.maxsize:
             self._entries.popitem(last=False)

@@ -25,7 +25,6 @@ TEXT_RUNS = (
 DROPPED_MARKUP = (
     "<!-- plain -->", "<!---->", "<!-- > ]]> ?> -->",
     "<?pi?>", "<?target some > data?>",
-    "<!DOCTYPE doc>",
 )
 CDATA_SECTIONS = (
     "<![CDATA[verbatim <&> text]]>", "<![CDATA[]]>", "<![CDATA[a]b]]c]]>",
@@ -73,7 +72,9 @@ def _element(draw, depth):
 @st.composite
 def xml_documents(draw):
     """A well-formed document, optionally with prolog/trailing markup."""
-    prolog = draw(st.sampled_from(("", "<?xml version='1.0'?>", "<!-- head -->")))
+    prolog = draw(st.sampled_from((
+        "", "<?xml version='1.0'?>", "<!-- head -->", "<!DOCTYPE doc>",
+        "<?xml version='1.0'?><!DOCTYPE doc [<!ELEMENT doc ANY>]>")))
     trailer = draw(st.sampled_from(("", "<!-- tail -->")))
     return prolog + draw(_element(2)) + trailer
 

@@ -20,6 +20,7 @@ from repro.errors import RRJoinError
 from repro.rewrite import rare, simplify
 from repro.semantics.evaluator import evaluate
 from repro.streaming.dom_baseline import dom_evaluate
+from repro.streaming.evaluator import stream_evaluate
 from repro.workloads.queries import following_reverse_chain
 from repro.xmlmodel.builder import document_events
 from repro.xmlmodel.document import Document, element, text
@@ -184,3 +185,19 @@ def test_normalizing_stays_linear_on_exponential_rewrites():
                  max_applications=REWRITE_LIMIT).result
     assert analysis.path_length(large) > 30 * analysis.path_length(small)
     assert seconds_per_step(large) < 5 * seconds_per_step(small)
+
+
+#: ``EXPONENTIAL_INPUT`` compiled once: RuleSet2 runs out of the compile
+#: budget on it, so the cache falls back to RuleSet1.
+_FALLBACK = QueryCache().compile(EXPONENTIAL_INPUT)
+
+
+@given(document=documents())
+@settings(**SETTINGS)
+@example(document=DEEP_DOCUMENT)
+def test_ruleset1_fallback_streams_the_original_answer(document):
+    """What ``QueryCache.compile`` serves when RuleSet2 exceeds its budget
+    streams the same nodes as the original query selects on the DOM."""
+    events = list(document_events(document))
+    assert (stream_evaluate(_FALLBACK, events).node_ids
+            == dom_evaluate(EXPONENTIAL_INPUT, events).node_ids)

@@ -1,6 +1,6 @@
 """Differential tests: the two XML front ends produce identical streams.
 
-The hand tokenizer (:func:`repro.xmlmodel.parser.iter_events`) and the
+The push tokenizer (:func:`repro.xmlmodel.parser.iter_events`) and the
 ``xml.sax`` adapter (:func:`iter_events_sax`) must agree on the *exact*
 event stream — values and document-order node ids alike — or every query
 answer referring to node ids silently disagrees between the two front ends.
@@ -11,6 +11,7 @@ every later node id), and CDATA sections were dropped entirely.
 
 import pytest
 
+from repro.xmlmodel.builder import build_document
 from repro.xmlmodel.parser import iter_events, iter_events_sax, parse_xml
 
 #: Well-formed documents exercising the front-end corners where the two
@@ -76,7 +77,7 @@ def test_event_streams_identical(xml, keep_whitespace):
 @pytest.mark.parametrize("xml", EDGE_CASE_DOCUMENTS)
 def test_built_documents_identical(xml):
     ours = parse_xml(xml)
-    sax = parse_xml(xml, use_sax=True)
+    sax = build_document(iter_events_sax(xml))
     assert [(n.kind, n.tag, n.value) for n in ours] == \
            [(n.kind, n.tag, n.value) for n in sax]
 
@@ -141,7 +142,7 @@ class TestAttributeParity:
             list(iter_events("<a x=1/>"))
 
     def test_missing_whitespace_between_attributes_rejected(self):
-        # SAX rejects '<a x="1"y="2"/>'; the hand tokenizer must agree on
+        # SAX rejects '<a x="1"y="2"/>'; the push tokenizer must agree on
         # what is well formed, not only on well-formed streams.
         from repro.errors import XMLSyntaxError
         with pytest.raises(XMLSyntaxError):
@@ -154,7 +155,7 @@ class TestAttributeParity:
 
     def test_literal_lt_in_value_rejected(self):
         # XML 1.0 forbids a raw '<' in attribute values; SAX rejects it and
-        # the hand tokenizer must agree (write &lt; instead).
+        # the push tokenizer must agree (write &lt; instead).
         from repro.errors import XMLSyntaxError
         with pytest.raises(XMLSyntaxError):
             list(iter_events('<a x="1<2"/>'))
@@ -209,11 +210,12 @@ class TestBareCDEndRepro:
             tokenizer.close()
 
     def test_cdend_in_trailing_text_rejected_at_close(self):
+        # Expat rejects it at the feed already.
         from repro.errors import XMLSyntaxError
         from repro.xmlmodel.parser import PushTokenizer
         tokenizer = PushTokenizer()
-        tokenizer.feed("<a>x ]]>")
         with pytest.raises(XMLSyntaxError):
+            tokenizer.feed("<a>x ]]>")
             tokenizer.close()
 
     def test_character_reference_form_stays_legal(self):

@@ -2,6 +2,8 @@
 
 import pytest
 
+from repro.errors import RewriteLimitExceeded
+from repro.rewrite import rare, simplify
 from repro.xpath import analysis
 from repro.xpath.cache import (
     QueryCache,
@@ -40,6 +42,21 @@ class TestQueryCache:
                                  ruleset="ruleset2")
         assert ruleset1 != ruleset2
         assert cache.info().misses == 2
+
+    def test_ruleset2_over_budget_falls_back_to_ruleset1(self):
+        # Theorem 4.2's exponential case: RuleSet2 needs 21 975 rule
+        # applications, past the default budget of 20 000; RuleSet1 is
+        # linear.  The result is cached under the key asked for.
+        query = ("/child::a/child::a[ancestor::a]"
+                 "/preceding::a[ancestor-or-self::a/ancestor-or-self::a]"
+                 "/preceding::a[ancestor-or-self::a/ancestor-or-self::a]")
+        with pytest.raises(RewriteLimitExceeded):
+            rare(query, ruleset="ruleset2")
+        cache = QueryCache()
+        path = cache.compile(query)
+        assert path == simplify(rare(query, ruleset="ruleset1").result)
+        assert cache.compile(query, ruleset="ruleset2") is path
+        assert (cache.info().hits, cache.info().misses) == (1, 1)
 
     def test_ast_inputs_are_cached_too(self):
         cache = QueryCache()
