@@ -13,14 +13,17 @@ specificities of XML that are irrelevant").
   references, line ends, attribute-value normalization, where an XML
   declaration or a DOCTYPE may stand, and that a document has exactly one
   element (an ``<!ATTLIST`` default is reported as an attribute, as SAX
-  reports it).  The adapter decides three things more:
+  reports it).  The adapter decides four things more:
 
   - the input is UTF-8, whatever its XML declaration says; a UTF-16
     byte-order mark is refused, since expat would switch encoding on it;
   - no entity is ever expanded: an entity declaration (general or
-    parameter) in the internal subset raises :class:`XMLSyntaxError`, and
-    so does a reference to an undeclared entity that expat would skip
-    because an external DTD subset, which is never read, might declare it;
+    parameter) in the internal subset raises :class:`XMLSyntaxError`;
+  - no external markup is read, so a document that is not standalone (an
+    external DTD subset or a parameter-entity reference, without
+    ``standalone="yes"``) is refused, as expat's "document is not
+    standalone": expat would silently drop from attribute values the
+    references to entities such markup might declare;
   - an error's position is a byte offset into the UTF-8 input.
 
   **The hold rule.**  Expat before 2.6 rescans an incomplete token from its
@@ -40,9 +43,7 @@ specificities of XML that are irrelevant").
 
 from __future__ import annotations
 
-import functools
 import io
-import weakref
 import xml.sax
 import xml.sax.handler
 from typing import Iterator, List, Union
@@ -67,12 +68,11 @@ _HOLD_FLOOR = 4096
 _UTF16_BOMS = (b"\xff\xfe", b"\xfe\xff")
 
 
-def _refuse_entity(tokenizer, name, is_parameter_entity, *_):
-    """Expat's handler of entity declarations and skipped references;
-    ``tokenizer`` is a weak reference to the :class:`PushTokenizer`."""
+def _refuse_entity(name, is_parameter_entity, *_):
+    """Expat's handler of entity declarations; the parse stops at the
+    declaration, where :meth:`PushTokenizer._parse` reads the position."""
     entity = f"%{name};" if is_parameter_entity else f"&{name};"
-    raise XMLSyntaxError(f"entity {entity} refused: entities are not expanded",
-                         tokenizer()._parser.CurrentByteIndex)
+    raise XMLSyntaxError(f"entity {entity} refused: entities are not expanded")
 
 
 class _EventBuilder:
@@ -137,9 +137,9 @@ class PushTokenizer:
         parser.StartElementHandler = builder.start_element
         parser.EndElementHandler = builder.end_element
         parser.CharacterDataHandler = builder.pending_text.append
-        # A weak reference: the parser's handlers must not lead back to it.
-        refuse = functools.partial(_refuse_entity, weakref.ref(self))
-        parser.EntityDeclHandler = parser.SkippedEntityHandler = refuse
+        parser.EntityDeclHandler = _refuse_entity
+        # Returning 0 makes expat raise "document is not standalone".
+        parser.NotStandaloneHandler = lambda: 0
         if hasattr(parser, "SetReparseDeferralEnabled"):
             parser.SetReparseDeferralEnabled(False)
         self._builder = builder
@@ -194,6 +194,8 @@ class PushTokenizer:
             # -1 when no byte was read (empty input): the document's start.
             raise XMLSyntaxError(expat.ErrorString(exc.code),
                                  max(parser.ErrorByteIndex, 0)) from None
+        except XMLSyntaxError as exc:  # raised by _refuse_entity
+            raise XMLSyntaxError(exc.args[0], parser.CurrentByteIndex) from None
         tail = self._fed - parser.CurrentByteIndex
         self._wait = tail if tail > _HOLD_FLOOR else 0
 

@@ -142,6 +142,9 @@ ERROR_POSITIONS = [
     ("<r><![CDATA[x", "unclosed CDATA section", 13),
     ("<r><?pi x", "unclosed token", 3),
     ("<r><a>text", "no element found", 10),
+    # Refused by the adapter (``TestRefusals``).
+    ('<!DOCTYPE r [<!ENTITY e "v">]><r/>', "entity &e; refused", 24),
+    ('<!DOCTYPE r SYSTEM "r.dtd"><r/>', "document is not standalone", 19),
 ]
 
 
@@ -213,8 +216,8 @@ class TestStrictness:
 
 class TestRefusals:
     """What the expat adapter refuses of its own accord: entities, which it
-    never expands, and UTF-16 input.  Each is refused at the construct,
-    before anything after it is read."""
+    never expands, documents that are not standalone, and UTF-16 input.
+    Each is refused at the construct, before anything after it is read."""
 
     @staticmethod
     def _refused(prolog):
@@ -253,14 +256,28 @@ class TestRefusals:
         assert "entity %p; refused" in str(error)
         assert error.position == prolog.index('"<!ELEMENT')
 
-    def test_reference_under_an_external_dtd(self):
-        # The external subset is never read, so expat would skip ``&e;``.
-        document = '<!DOCTYPE a SYSTEM "a.dtd"><a>x&e;y</a>'
-        tokenizer = PushTokenizer()
-        tokenizer.feed(document[:document.index("&")])
-        with pytest.raises(XMLSyntaxError, match="entity &e; refused") as raised:
-            tokenizer.feed(document[document.index("&"):])
-        assert raised.value.position == document.index("&")
+    @pytest.mark.parametrize("prolog, at", [
+        ('<!DOCTYPE a SYSTEM "a.dtd">', '"a.dtd"'),
+        ('<!DOCTYPE a PUBLIC "-//p" "a.dtd">', '"a.dtd"'),
+        ('<!DOCTYPE a [<!ELEMENT a ANY> %p;]>', "%p;"),
+    ])
+    def test_reference_under_an_external_dtd(self, prolog, at):
+        # The external subset (or a parameter entity) is never read, and
+        # expat would drop ``&e;``, which it might declare, from a value:
+        # x="vw".  Such a document is refused at its DOCTYPE.
+        error = self._refused(prolog)
+        assert "document is not standalone" in str(error)
+        assert error.position == prolog.index(at)
+        for body in ('<a x="v&e;w"/>', "<a>x&e;y</a>"):
+            with pytest.raises(XMLSyntaxError, match="not standalone"):
+                list(iter_events(prolog + body))
+        # Declared standalone, it is read without them, and an undeclared
+        # entity is an error in a value as in content.
+        standalone = '<?xml version="1.0" standalone="yes"?>' + prolog
+        assert list(iter_events(standalone + "<a/>")) == list(iter_events("<a/>"))
+        for body in ('<a x="v&e;w"/>', "<a>x&e;y</a>"):
+            with pytest.raises(XMLSyntaxError, match="undefined entity"):
+                list(iter_events(standalone + body))
 
     @pytest.mark.parametrize("bom", [codecs.BOM_UTF16_LE, codecs.BOM_UTF16_BE])
     def test_utf16_byte_order_mark(self, bom):
